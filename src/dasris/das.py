@@ -16,9 +16,21 @@ so the whole solve is O(N log N).
 
 Candidate k (1-based) assigns +1 to the k smallest folded angles, maps that
 back to original element order, and undoes the fold by negating flipped
-entries. das_solve scores all candidates at once with a prefix sum instead
+entries. das_solve scores the candidates at once with a prefix sum instead
 of materializing the candidate matrix; build_candidates/select_best expose
-the explicit matrix form and the two routes agree.
+the explicit matrix form and the two routes reach the same power.
+
+das_solve scores a candidate only where the sorted angle changes, and at
+the last position. Entries with equal folded angles point the same way, so
+across a run of them the prefix sum moves along a straight segment and the
+convex score |2 * prefix - total| peaks at one of the segment's ends. A
+split inside a run is never better than a run end, and the run ends are
+exactly the patterns the sweep over psi produces. The prefix sum at a run
+end adds up the same entries whatever the order inside the run, so the
+winner does not depend on that order, and the solver can use numpy's
+default (unstable) argsort. The explicit route keeps a stable sort and
+scores every candidate; where a split inside a run ties a run end (the run
+holds zero-magnitude entries) it may return that split, at the same power.
 """
 
 from __future__ import annotations
@@ -89,25 +101,40 @@ class DasSolution:
     power: float
 
 
+def _fold(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Folded angles, flip mask and flip-corrected entries of a 1-D z.
+
+    An entry is negated when its real part is negative, which leaves every
+    real part at or above zero, so one atan2 lands in [-pi/2, pi/2]. Taking
+    the atan2 against |re| keeps a -0.0 real part from reading as pi. The
+    angles that come out as +pi/2 (a zero real part over a positive
+    imaginary one, or a real part too small next to the imaginary one to
+    show in the rounded angle) are folded once more, down to -pi/2.
+    Zero-magnitude entries fold to angle 0 with no flip.
+    """
+    flip = z.real < 0
+    v = np.where(flip, -z, z)
+    folded = np.arctan2(v.imag, np.abs(z.real))
+    top = folded >= HALF_PI
+    if top.any():
+        folded[top] = -HALF_PI
+        flip ^= top
+        v[top] = -v[top]
+    return folded, flip, v
+
+
 def fold_angles(z: np.ndarray) -> FoldResult:
     """Fold the phase of each entry of z into [-pi/2, pi/2).
 
-    The principal argument is first shifted into the canonical window
-    [-pi/2, 3pi/2); angles at or beyond pi/2 are then moved down by pi and
-    flagged in the flip mask. The boundary -pi/2 stays unflipped.
+    Entries in the left half-plane, and those on the positive imaginary
+    axis, are negated (moved by pi) and flagged in the flip mask. The
+    boundary -pi/2 stays unflipped.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if z.ndim != 1:
         raise ValueError("z must be one-dimensional")
-    magnitudes = np.abs(z)
-    ang = np.angle(z)
-    ang = np.where(ang < -HALF_PI, ang + 2.0 * np.pi, ang)
-    flip_mask = ang >= HALF_PI
-    folded = np.where(flip_mask, ang - np.pi, ang)
-    zero = magnitudes == 0.0
-    folded = np.where(zero, 0.0, folded)
-    flip_mask = flip_mask & ~zero
-    return FoldResult(folded_angles=folded, flip_mask=flip_mask, magnitudes=magnitudes)
+    folded, flip_mask, _ = _fold(z)
+    return FoldResult(folded_angles=folded, flip_mask=flip_mask, magnitudes=np.abs(z))
 
 
 def sort_folded(fold: FoldResult) -> SortPermutation:
@@ -163,21 +190,36 @@ def _best_step_pattern(z: np.ndarray) -> tuple[np.ndarray, float]:
 
     Candidate k's inner product with z is 2 * prefix_k - total, where
     prefix_k sums the first k+1 flip-corrected entries in sorted order, so
-    one cumulative sum scores every candidate. Lowest k wins ties, as in
-    select_best; when distinct candidates score equal in exact arithmetic
-    (zero-magnitude entries) the two routes may round the tie differently
-    and return different equally optimal winners.
+    one cumulative sum scores every candidate. Only the ends of runs of
+    equal folded angles are scored (see the module docstring), which makes
+    the winner independent of how the sort orders a run; the lowest such k
+    wins ties, as in select_best. Returns w_bar, already negated so that its
+    last entry is +1, and its amplitude |w_bar^T z|.
     """
-    fold = fold_angles(z)
-    perm = sort_folded(fold)
-    unfold = np.where(fold.flip_mask, -1.0, 1.0)
-    prefix = np.cumsum((z * unfold)[perm.forward])
+    folded, flip, v = _fold(z)
+    order = np.argsort(folded)
+    # in place, and each N-wide buffer dropped once used, to keep the peak low
+    prefix = np.cumsum(v[order])
+    del v
     total = prefix[-1]
-    scores = np.abs(2.0 * prefix - total)
+    prefix *= 2.0
+    prefix -= total
+    scores = np.abs(prefix)
+    del prefix
+    keys = folded[order]
+    # a split followed by an equal key lies inside a run: never the winner
+    scores[:-1][keys[1:] == keys[:-1]] = -1.0
     k = int(np.argmax(scores))
-    signs = np.where(perm.inverse <= k, 1, -1)
-    w_bar_raw = signs * np.where(fold.flip_mask, -1, 1)
-    return w_bar_raw.astype(np.int64), float(scores[k])
+    # +1 where the entry is in the winning prefix, unless its fold flipped it
+    plus = np.zeros(z.shape[0], dtype=bool)
+    plus[order[: k + 1]] = True
+    plus ^= flip
+    if not plus[-1]:  # the objective ignores a global sign; pin the last entry to +1
+        np.logical_not(plus, out=plus)
+    w_bar = plus.astype(np.int64)
+    w_bar *= 2
+    w_bar -= 1
+    return w_bar, float(scores[k])
 
 
 def das_solve(ch: ChannelRealization) -> DasSolution:
@@ -188,9 +230,8 @@ def das_solve(ch: ChannelRealization) -> DasSolution:
     returned configuration (it is re-evaluated against the channel).
     """
     comp = composite_phi(ch)
-    w_bar_raw, _ = _best_step_pattern(comp.z)
-    config, w_bar = recover_config(w_bar_raw)
-    amplitude = float(np.abs(w_bar @ comp.z))
+    w_bar, amplitude = _best_step_pattern(comp.z)
+    config = PhaseConfig(w=w_bar[:-1])
     return DasSolution(
         config=config,
         w_bar=w_bar,

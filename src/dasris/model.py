@@ -14,6 +14,7 @@ that every quantity of interest is a function of one complex vector phi_bar.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import math
@@ -33,6 +34,14 @@ class ChannelFormatError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
+def _check_powers(noise_power: float, tx_power: float) -> None:
+    # written so that NaN fails: every comparison with NaN is false
+    if not (math.isfinite(noise_power) and noise_power > 0):
+        raise ValueError("noise_power must be finite and > 0")
+    if not (math.isfinite(tx_power) and tx_power > 0):
+        raise ValueError("tx_power must be finite and > 0")
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Statistical parameters for drawing random channel realizations.
@@ -50,12 +59,10 @@ class ChannelParams:
 
     def __post_init__(self):
         for name in ("beta_g", "beta_r", "beta_d"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.noise_power <= 0:
-            raise ValueError("noise_power must be > 0")
-        if self.tx_power <= 0:
-            raise ValueError("tx_power must be > 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0")
+        _check_powers(self.noise_power, self.tx_power)
 
 
 @dataclass(frozen=True)
@@ -83,13 +90,16 @@ class ChannelRealization:
             )
         if g.shape[0] < 1:
             raise ValueError("channel needs at least one surface element")
-        if self.noise_power <= 0:
-            raise ValueError("noise_power must be > 0")
-        if self.tx_power <= 0:
-            raise ValueError("tx_power must be > 0")
+        # a NaN or inf coefficient would make every power NaN and the optimum meaningless
+        if not (np.isfinite(g).all() and np.isfinite(h_r).all()):
+            raise ValueError("g and h_r must be finite")
+        h_d = complex(self.h_d)
+        if not cmath.isfinite(h_d):
+            raise ValueError("h_d must be finite")
+        _check_powers(self.noise_power, self.tx_power)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "h_r", h_r)
-        object.__setattr__(self, "h_d", complex(self.h_d))
+        object.__setattr__(self, "h_d", h_d)
 
     @property
     def n(self) -> int:
@@ -242,9 +252,12 @@ def write_channel_csv(ch: ChannelRealization, fp: io.TextIOBase) -> None:
 
 def _parse_float(token: str, line: int, what: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ChannelFormatError(line, f"cannot parse {what} from {token!r}") from None
+    if not math.isfinite(value):
+        raise ChannelFormatError(line, f"{what} must be finite, got {token!r}")
+    return value
 
 
 def read_channel_csv(fp: io.TextIOBase) -> ChannelRealization:

@@ -45,6 +45,14 @@ def test_solve_malformed_file(tmp_path, capsys):
     assert "footer" in err
 
 
+@pytest.mark.parametrize("token", ["nan", "inf"])
+def test_solve_non_finite_file_is_input_error(tmp_path, capsys, token):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"idx,g_re,g_im,hr_re,hr_im\n1,1.0,{token},1.0,0.0\nhd,1.0,0.0,1.0,1.0\n")
+    assert main(["solve", str(path)]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_solve_missing_file_is_io_error(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "nope.csv")]) == 3
 

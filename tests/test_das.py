@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dasris.baselines import continuous_upper_bound
+from dasris.baselines import continuous_upper_bound, exhaustive_search
 from dasris.das import (
     build_candidates,
     das_solve,
@@ -80,6 +80,10 @@ def test_fold_boundary_angles():
 @given(st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
                 min_size=1, max_size=30))
 @settings(max_examples=200, deadline=None)
+# an angle a hair past -pi/2, and ones that round to +pi/2 from either half-plane
+@example([complex(-2.2e-16, -1.0)])
+@example([complex(5e-324, 1.0)])
+@example([complex(-1e-17, -1.0)])
 def test_fold_range_and_reconstruction(values):
     z = np.array(values, dtype=complex)
     fold = fold_angles(z)
@@ -321,3 +325,54 @@ def test_das_solve_optimal_on_arbitrary_channels(g_values, h_d):
                             h_d=h_d, noise_power=1.0)
     sol = das_solve(ch)
     assert math.isclose(sol.power, brute_force_power(ch), rel_tol=1e-9, abs_tol=1e-12)
+
+
+# pi/4 grid with exact axis points, so duplicates share their sort key exactly
+# and some entries sit on the fold boundaries
+_S = math.sqrt(0.5)
+TIE_GRID = np.array([1, _S + _S * 1j, 1j, -_S + _S * 1j, -1, -_S - _S * 1j, -1j, _S - _S * 1j])
+TIE_MAGNITUDES = np.array([0.0, 1.0, 2.0])
+TIE_DIRECT_LINKS = (0.0, 1j, -1j, -1.0)
+
+
+def tie_heavy_channel(rng, n, h_d):
+    """Channel whose composite entries repeat exactly, zeros included."""
+    g = TIE_MAGNITUDES[rng.integers(0, 3, n)] * TIE_GRID[rng.integers(0, 8, n)]
+    return make_channel(g, np.ones(n), h_d)
+
+
+def test_das_solve_optimal_on_tie_heavy_channels():
+    rng = np.random.default_rng(4242)
+    for h_d in TIE_DIRECT_LINKS:
+        for _ in range(60):
+            ch = tie_heavy_channel(rng, int(rng.integers(1, 13)), h_d)
+            assert math.isclose(das_solve(ch).power, exhaustive_search(ch).power,
+                                rel_tol=1e-9, abs_tol=1e-12)
+
+
+def test_das_solve_ignores_element_order_on_ties():
+    # Shuffling the elements must permute the returned configuration, zero
+    # entries included, whenever the optimum is unique on the nonzero
+    # entries (up to the global sign when there is no direct link).
+    rng = np.random.default_rng(977)
+    checked = 0
+    for h_d in TIE_DIRECT_LINKS:
+        for _ in range(60):
+            n = int(rng.integers(2, 11))
+            ch = tie_heavy_channel(rng, n, h_d)
+            signs = np.array(list(itertools.product((1, -1), repeat=n)))
+            powers = np.array([received_power(ch, PhaseConfig(w)) for w in signs])
+            optimal = signs[np.isclose(powers, powers.max(), rtol=1e-9, atol=1e-12)]
+            optimal = optimal[:, ch.g != 0]
+            if h_d == 0:
+                optimal = optimal * optimal[:, :1]
+            unique = len({tuple(w) for w in optimal}) == 1
+            sol = das_solve(ch)
+            for _ in range(3):
+                perm = rng.permutation(n)
+                other = das_solve(make_channel(ch.g[perm], ch.h_r[perm], ch.h_d))
+                assert math.isclose(other.power, sol.power, rel_tol=1e-9, abs_tol=1e-12)
+                if unique:
+                    assert np.array_equal(other.config.w, sol.config.w[perm])
+                    checked += 1
+    assert checked >= 300

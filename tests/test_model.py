@@ -102,6 +102,33 @@ def test_channel_realization_validation():
         make_channel([1], [1], 0, tx_power=-1.0)
 
 
+@pytest.mark.parametrize("field", ["g", "h_r"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_channel_realization_rejects_non_finite_coefficients(field, bad):
+    values = {"g": [1.0, 1.0], "h_r": [1.0, 1.0]}
+    values[field] = [1.0, complex(0.0, bad)]
+    with pytest.raises(ValueError, match="finite"):
+        make_channel(values["g"], values["h_r"], 0)
+
+
+@pytest.mark.parametrize("h_d", [complex(math.nan, 0.0), complex(0.0, math.inf), -math.inf])
+def test_channel_realization_rejects_non_finite_direct_link(h_d):
+    with pytest.raises(ValueError, match="h_d"):
+        make_channel([1], [1], h_d)
+
+
+@pytest.mark.parametrize("field", ["noise_power", "tx_power"])
+def test_channel_realization_rejects_nan_powers(field):
+    with pytest.raises(ValueError, match=field):
+        make_channel([1], [1], 0, **{field: math.nan})
+
+
+@pytest.mark.parametrize("field", ["beta_g", "beta_r", "beta_d"])
+def test_channel_params_rejects_nan_betas(field):
+    with pytest.raises(ValueError, match=field):
+        ChannelParams(**{field: math.nan})
+
+
 def test_generate_channel_is_deterministic():
     a = generate_channel(8, 123)
     b = generate_channel(8, 123)
@@ -207,6 +234,20 @@ def test_channel_csv_bad_float_names_line():
     with pytest.raises(ChannelFormatError) as err:
         read_channel_csv(io.StringIO(text))
     assert "line 2" in str(err.value)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("row, line", [
+    ("1,{},0.0,1.0,0.0\nhd,0.0,0.0,1.0,1.0\n", 2),
+    ("1,1.0,0.0,1.0,0.0\nhd,0.0,{},1.0,1.0\n", 3),
+    ("1,1.0,0.0,1.0,0.0\nhd,0.0,0.0,{},1.0\n", 3),
+], ids=["g_re", "hd_im", "noise_power"])
+def test_channel_csv_rejects_non_finite_tokens(token, row, line):
+    text = "idx,g_re,g_im,hr_re,hr_im\n" + row.format(token)
+    with pytest.raises(ChannelFormatError) as err:
+        read_channel_csv(io.StringIO(text))
+    assert f"line {line}" in str(err.value)
+    assert "finite" in str(err.value)
 
 
 def test_channel_csv_bad_header():
