@@ -2,25 +2,14 @@
 
 from .baselines import (
     BaselineResult,
-    DEFAULT_EXHAUSTIVE_LIMIT,
+    EXHAUSTIVE_LIMIT,
     ExhaustiveLimitError,
     continuous_upper_bound,
     exhaustive_search,
     greedy_bitflip,
     random_best_of_k,
 )
-from .das import (
-    CandidateSet,
-    DasSolution,
-    FoldResult,
-    SortPermutation,
-    build_candidates,
-    das_solve,
-    fold_angles,
-    recover_config,
-    select_best,
-    sort_folded,
-)
+from .das import DasSolution, das_solve
 from .harness import (
     AggregateRow,
     ExperimentPlan,
@@ -52,37 +41,29 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregateRow",
     "BaselineResult",
-    "CandidateSet",
     "ChannelFormatError",
     "ChannelParams",
     "ChannelRealization",
     "CompositePhi",
-    "DEFAULT_EXHAUSTIVE_LIMIT",
     "DasSolution",
+    "EXHAUSTIVE_LIMIT",
     "ExhaustiveLimitError",
     "ExperimentPlan",
-    "FoldResult",
     "PhaseConfig",
     "PlanError",
-    "SortPermutation",
     "TrialRecord",
     "aggregate",
-    "build_candidates",
     "composite_phi",
     "continuous_upper_bound",
     "das_solve",
     "exhaustive_search",
-    "fold_angles",
     "generate_channel",
     "greedy_bitflip",
     "random_best_of_k",
     "read_channel_csv",
     "received_power",
-    "recover_config",
     "run_plan",
-    "select_best",
     "snr_db",
-    "sort_folded",
     "timing_scaling",
     "trial_seeds",
     "write_aggregate_csv",

@@ -6,14 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChannelRealization, PhaseConfig, received_power
+from .model import ChannelRealization, PhaseConfig, composite_phi, received_power
 
-DEFAULT_EXHAUSTIVE_LIMIT = 20
+EXHAUSTIVE_LIMIT = 20
 _CHUNK = 1 << 15
 
 
 class ExhaustiveLimitError(ValueError):
-    """Raised when a brute-force search would exceed the configured size cap."""
+    """Raised when a brute-force search would exceed its fixed size cap."""
 
 
 @dataclass(frozen=True)
@@ -29,23 +29,20 @@ class BaselineResult:
     evaluations: int
 
 
-def _composite(ch: ChannelRealization) -> tuple[np.ndarray, complex]:
-    return np.conj(ch.h_r) * ch.g, complex(np.conj(ch.h_d))
-
-
-def exhaustive_search(ch: ChannelRealization, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> BaselineResult:
+def exhaustive_search(ch: ChannelRealization) -> BaselineResult:
     """Enumerate all 2^N configurations and return the best.
 
     Configurations are enumerated by an N-bit counter where a set bit n means
     element n is -1; ties keep the lowest counter value. The homogenized
-    coordinate is pinned to +1 throughout. Refuses to run for N above limit.
+    coordinate is pinned to +1 throughout. Refuses to run for N above
+    EXHAUSTIVE_LIMIT.
     """
     n = ch.n
-    if n > limit:
+    if n > EXHAUSTIVE_LIMIT:
         raise ExhaustiveLimitError(
-            f"exhaustive search over n={n} elements exceeds the limit of {limit}"
+            f"exhaustive search over n={n} elements exceeds the limit of {EXHAUSTIVE_LIMIT}"
         )
-    phi, h_d_conj = _composite(ch)
+    comp = composite_phi(ch)
     count = 1 << n
     shifts = np.arange(n, dtype=np.uint64)
     best_power = -1.0
@@ -55,7 +52,7 @@ def exhaustive_search(ch: ChannelRealization, limit: int = DEFAULT_EXHAUSTIVE_LI
         counters = np.arange(start, stop, dtype=np.uint64)
         bits = (counters[:, None] >> shifts[None, :]) & np.uint64(1)
         signs = 1.0 - 2.0 * bits
-        amps = signs @ phi + h_d_conj
+        amps = signs @ comp.phi + comp.h_d_conj
         powers = amps.real**2 + amps.imag**2
         j = int(np.argmax(powers))
         if powers[j] > best_power:
@@ -80,7 +77,8 @@ def greedy_bitflip(ch: ChannelRealization, start: PhaseConfig, max_sweeps: int =
     """
     if start.n != ch.n:
         raise ValueError(f"start has {start.n} elements but channel has {ch.n}")
-    phi, h_d_conj = _composite(ch)
+    comp = composite_phi(ch)
+    phi, h_d_conj = comp.phi, comp.h_d_conj
     w = start.w.copy()
     amp = complex(np.dot(w, phi) + h_d_conj)
     evaluations = 0
@@ -107,10 +105,10 @@ def random_best_of_k(ch: ChannelRealization, k: int, seed: int) -> BaselineResul
     """Best of k configurations drawn uniformly at random (seeded)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    phi, h_d_conj = _composite(ch)
+    comp = composite_phi(ch)
     rng = np.random.default_rng(seed)
     signs = rng.integers(0, 2, size=(k, ch.n)) * 2 - 1
-    amps = signs @ phi + h_d_conj
+    amps = signs @ comp.phi + comp.h_d_conj
     powers = amps.real**2 + amps.imag**2
     j = int(np.argmax(powers))
     config = PhaseConfig(w=signs[j])
@@ -127,6 +125,6 @@ def continuous_upper_bound(ch: ChannelRealization) -> float:
     Equals (sum_n |phi_n| + |h_d|)^2 * tx_power; no binary configuration can
     exceed it, and it is generally not attained.
     """
-    phi, h_d_conj = _composite(ch)
-    total = float(np.sum(np.abs(phi)) + abs(h_d_conj))
+    comp = composite_phi(ch)
+    total = float(np.sum(np.abs(comp.phi)) + abs(comp.h_d_conj))
     return total * total * ch.tx_power

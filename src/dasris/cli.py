@@ -15,10 +15,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-from .baselines import DEFAULT_EXHAUSTIVE_LIMIT, ExhaustiveLimitError, exhaustive_search
+from .baselines import EXHAUSTIVE_LIMIT, ExhaustiveLimitError, exhaustive_search
 from .das import das_solve
 from .harness import (
     ExperimentPlan,
@@ -44,26 +43,6 @@ EXIT_IO = 3
 EXIT_PLAN = 4
 
 DEFAULT_BENCH_DIR = "bench_out"
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Parsed command line options for one invocation."""
-
-    command: str
-    channel_path: Path | None = None
-    n_values: tuple[int, ...] = ()
-    trials: int = 100
-    seed: int = 0
-    methods: tuple[str, ...] = ("das",)
-    los: bool = True
-    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT
-    beta_g: float = 1.0
-    beta_r: float = 1.0
-    beta_d: float = 1.0
-    noise_power: float = 1.0
-    out: Path | None = None
-    verify_exhaustive: bool = False
 
 
 def _csv_ints(text: str) -> tuple[int, ...]:
@@ -114,19 +93,15 @@ def build_parser() -> argparse.ArgumentParser:
     solve = subs.add_parser("solve", help="solve one channel file")
     solve.add_argument("channel", type=Path, help="channel CSV path")
     solve.add_argument("--verify-exhaustive", action="store_true",
-                       help="cross-check against brute force")
-    solve.add_argument("--exhaustive-limit", type=int, default=DEFAULT_EXHAUSTIVE_LIMIT,
-                       help="largest n allowed for brute force")
+                       help=f"cross-check against brute force (n <= {EXHAUSTIVE_LIMIT})")
 
     bench = subs.add_parser("bench", help="run a sweep and write CSVs")
     _add_sweep_options(bench)
-    bench.add_argument("--exhaustive-limit", type=int, default=DEFAULT_EXHAUSTIVE_LIMIT)
     bench.add_argument("--out", type=Path, default=Path(DEFAULT_BENCH_DIR),
                        help="output directory for trials.csv and aggregate.csv")
 
     compare = subs.add_parser("compare", help="run a sweep and print a table")
     _add_sweep_options(compare)
-    compare.add_argument("--exhaustive-limit", type=int, default=DEFAULT_EXHAUSTIVE_LIMIT)
     compare.add_argument("--out", type=Path, default=None,
                          help="optional path for the aggregate CSV")
 
@@ -139,43 +114,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        command=args.command,
-        channel_path=getattr(args, "channel", None),
-        n_values=tuple(getattr(args, "n", ()) or ()),
-        trials=getattr(args, "trials", 100),
-        seed=getattr(args, "seed", 0),
-        methods=tuple(getattr(args, "methods", ("das",))),
-        los=not getattr(args, "no_los", False),
-        exhaustive_limit=getattr(args, "exhaustive_limit", DEFAULT_EXHAUSTIVE_LIMIT),
-        beta_g=getattr(args, "beta_g", 1.0),
-        beta_r=getattr(args, "beta_r", 1.0),
-        beta_d=getattr(args, "beta_d", 1.0),
-        noise_power=getattr(args, "noise_power", 1.0),
-        out=getattr(args, "out", None),
-        verify_exhaustive=getattr(args, "verify_exhaustive", False),
-    )
-
-
-def _channel_params(cfg: CliConfig) -> ChannelParams:
+def _channel_params(args: argparse.Namespace) -> ChannelParams:
     return ChannelParams(
-        beta_g=cfg.beta_g,
-        beta_r=cfg.beta_r,
-        beta_d=cfg.beta_d,
-        los=cfg.los,
-        noise_power=cfg.noise_power,
+        beta_g=args.beta_g,
+        beta_r=args.beta_r,
+        beta_d=args.beta_d,
+        los=not args.no_los,
+        noise_power=args.noise_power,
     )
 
 
-def _plan(cfg: CliConfig) -> ExperimentPlan:
+def _plan(args: argparse.Namespace) -> ExperimentPlan:
     return ExperimentPlan(
-        n_values=cfg.n_values,
-        trials=cfg.trials,
-        base_seed=cfg.seed,
-        methods=cfg.methods,
-        channel_params=_channel_params(cfg),
-        exhaustive_limit=cfg.exhaustive_limit,
+        n_values=args.n,
+        trials=args.trials,
+        base_seed=args.seed,
+        methods=args.methods,
+        channel_params=_channel_params(args),
     )
 
 
@@ -183,9 +138,11 @@ def format_signs(w) -> str:
     return "".join("+" if v > 0 else "-" for v in w)
 
 
-def cmd_solve(cfg: CliConfig) -> int:
-    with open(cfg.channel_path, "r", newline="") as fp:
+def cmd_solve(args: argparse.Namespace) -> int:
+    with open(args.channel, "r", newline="") as fp:
         ch = read_channel_csv(fp)
+    # the search runs first, so a channel over its cap is refused before any output
+    reference = exhaustive_search(ch) if args.verify_exhaustive else None
     solution = das_solve(ch)
     theta = " ".join("0" if v > 0 else "pi" for v in solution.config.w)
     print(f"n: {ch.n}")
@@ -193,8 +150,7 @@ def cmd_solve(cfg: CliConfig) -> int:
     print(f"theta: {theta}")
     print(f"power: {solution.power!r}")
     print(f"snr_db: {snr_db(solution.power, ch.noise_power)!r}")
-    if cfg.verify_exhaustive:
-        reference = exhaustive_search(ch, cfg.exhaustive_limit)
+    if reference is not None:
         if math.isclose(solution.power, reference.power, rel_tol=1e-9, abs_tol=1e-12):
             print("verified: optimal")
         else:
@@ -206,13 +162,12 @@ def cmd_solve(cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_bench(cfg: CliConfig) -> int:
-    records = run_plan(_plan(cfg))
+def cmd_bench(args: argparse.Namespace) -> int:
+    records = run_plan(_plan(args))
     rows = aggregate(records)
-    out_dir = cfg.out if cfg.out is not None else Path(DEFAULT_BENCH_DIR)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trials_path = out_dir / "trials.csv"
-    aggregate_path = out_dir / "aggregate.csv"
+    args.out.mkdir(parents=True, exist_ok=True)
+    trials_path = args.out / "trials.csv"
+    aggregate_path = args.out / "aggregate.csv"
     with open(trials_path, "w", newline="") as fp:
         write_trial_csv(records, fp)
     with open(aggregate_path, "w", newline="") as fp:
@@ -222,8 +177,8 @@ def cmd_bench(cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_compare(cfg: CliConfig) -> int:
-    records = run_plan(_plan(cfg))
+def cmd_compare(args: argparse.Namespace) -> int:
+    records = run_plan(_plan(args))
     rows = aggregate(records)
     header = f"{'n':>6}  {'method':<10}  {'mean_snr_db':>12}  {'mean_power':>12}  {'optimality':>10}  {'total_s':>9}"
     print(header)
@@ -233,20 +188,20 @@ def cmd_compare(cfg: CliConfig) -> int:
             f"{row.n:>6}  {row.method:<10}  {row.mean_snr_db:>12.4f}  "
             f"{row.mean_power:>12.4f}  {rate:>10}  {row.total_time:>9.4f}"
         )
-    if cfg.out is not None:
-        with open(cfg.out, "w", newline="") as fp:
+    if args.out is not None:
+        with open(args.out, "w", newline="") as fp:
             write_aggregate_csv(rows, fp)
-        print(f"wrote {cfg.out}", file=sys.stderr)
+        print(f"wrote {args.out}", file=sys.stderr)
     return EXIT_OK
 
 
-def cmd_gen(cfg: CliConfig) -> int:
-    if len(cfg.n_values) != 1:
+def cmd_gen(args: argparse.Namespace) -> int:
+    if len(args.n) != 1:
         raise ValueError("gen takes a single --n value")
-    ch = generate_channel(cfg.n_values[0], cfg.seed, _channel_params(cfg))
-    with open(cfg.out, "w", newline="") as fp:
+    ch = generate_channel(args.n[0], args.seed, _channel_params(args))
+    with open(args.out, "w", newline="") as fp:
         write_channel_csv(ch, fp)
-    print(f"wrote {cfg.out}", file=sys.stderr)
+    print(f"wrote {args.out}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -261,9 +216,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = config_from_args(args)
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except (PlanError, ExhaustiveLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PLAN

@@ -17,13 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import (
-    DEFAULT_EXHAUSTIVE_LIMIT,
+    EXHAUSTIVE_LIMIT,
     exhaustive_search,
     greedy_bitflip,
     random_best_of_k,
 )
 from .das import das_solve
-from .model import ChannelParams, generate_channel, snr_db
+from .model import ChannelParams, _fmt, generate_channel, snr_db
 
 METHOD_ORDER = ("das", "exhaustive", "greedy", "random")
 TRIAL_CSV_HEADER = ("n", "trial", "method", "power", "snr_db", "wall_time_s")
@@ -31,6 +31,7 @@ AGGREGATE_CSV_HEADER = (
     "n", "method", "mean_snr_db", "mean_power", "total_time_s", "optimality_rate"
 )
 ORACLE_REL_TOL = 1e-9
+RANDOM_K = 16  # draws per trial for the random method, and greedy's start
 
 
 class PlanError(ValueError):
@@ -50,9 +51,6 @@ class ExperimentPlan:
     base_seed: int
     methods: tuple[str, ...] = ("das",)
     channel_params: ChannelParams = field(default_factory=ChannelParams)
-    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT
-    random_k: int = 16
-    greedy_max_sweeps: int = 100
 
     def __post_init__(self):
         object.__setattr__(self, "n_values", tuple(int(v) for v in self.n_values))
@@ -99,14 +97,12 @@ def validate_plan(plan: ExperimentPlan) -> None:
     if len(set(plan.methods)) != len(plan.methods):
         raise PlanError("methods must not repeat")
     if "exhaustive" in plan.methods:
-        too_big = [n for n in plan.n_values if n > plan.exhaustive_limit]
+        too_big = [n for n in plan.n_values if n > EXHAUSTIVE_LIMIT]
         if too_big:
             raise PlanError(
-                f"exhaustive search is capped at n={plan.exhaustive_limit}; "
+                f"exhaustive search is capped at n={EXHAUSTIVE_LIMIT}; "
                 f"plan asks for n={too_big}"
             )
-    if plan.random_k < 1:
-        raise PlanError("random_k must be >= 1")
 
 
 def trial_seeds(base_seed: int, n: int, trial: int) -> tuple[int, int]:
@@ -139,7 +135,7 @@ def run_plan(plan: ExperimentPlan) -> list[TrialRecord]:
             random_elapsed = 0.0
             if "greedy" in plan.methods or "random" in plan.methods:
                 t0 = time.perf_counter()
-                random_result = random_best_of_k(ch, plan.random_k, sample_seed)
+                random_result = random_best_of_k(ch, RANDOM_K, sample_seed)
                 random_elapsed = time.perf_counter() - t0
             for method in METHOD_ORDER:
                 if method not in plan.methods:
@@ -151,13 +147,11 @@ def run_plan(plan: ExperimentPlan) -> list[TrialRecord]:
                     power = solution.power
                 elif method == "exhaustive":
                     t0 = time.perf_counter()
-                    power = exhaustive_search(ch, plan.exhaustive_limit).power
+                    power = exhaustive_search(ch).power
                     elapsed = time.perf_counter() - t0
                 elif method == "greedy":
                     t0 = time.perf_counter()
-                    power = greedy_bitflip(
-                        ch, random_result.config, plan.greedy_max_sweeps
-                    ).power
+                    power = greedy_bitflip(ch, random_result.config).power
                     elapsed = time.perf_counter() - t0
                 else:
                     power = random_result.power
@@ -244,10 +238,6 @@ def timing_scaling(plan: ExperimentPlan) -> list[tuple[int, float]]:
             total += time.perf_counter() - t0
         totals.append((n, total))
     return totals
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 def write_trial_csv(records: list[TrialRecord], fp: io.TextIOBase) -> None:

@@ -140,25 +140,34 @@ class CompositePhi:
     vector and lam is 0.
     """
 
-    phi: np.ndarray
-    h_d_conj: complex
     phi_bar: np.ndarray
     lam: float
     z: np.ndarray
 
+    @property
+    def phi(self) -> np.ndarray:
+        """The per-element coefficients conj(h_r) * g, a view of phi_bar."""
+        return self.phi_bar[:-1]
+
+    @property
+    def h_d_conj(self) -> complex:
+        """The conjugated direct link, the last entry of phi_bar."""
+        return self.phi_bar[-1]
+
 
 def composite_phi(ch: ChannelRealization) -> CompositePhi:
     """Collapse a channel into the composite vector the optimizers consume."""
-    phi = np.conj(ch.h_r) * ch.g
-    h_d_conj = np.conj(ch.h_d)
-    phi_bar = np.concatenate([phi, [h_d_conj]])
+    phi_bar = np.empty(ch.n + 1, dtype=complex)
+    # written straight into phi_bar, so phi needs no copy of its own
+    np.multiply(np.conj(ch.h_r), ch.g, out=phi_bar[:-1])
+    phi_bar[-1] = np.conj(ch.h_d)
     lam = float(np.sum(phi_bar.real**2 + phi_bar.imag**2))
     if lam > 0.0:
         z = phi_bar / math.sqrt(lam)
     else:
         z = np.zeros(phi_bar.shape[0], dtype=complex)
         z[0] = 1.0
-    return CompositePhi(phi=phi, h_d_conj=h_d_conj, phi_bar=phi_bar, lam=lam, z=z)
+    return CompositePhi(phi_bar=phi_bar, lam=lam, z=z)
 
 
 def received_power(ch: ChannelRealization, config: PhaseConfig) -> float:

@@ -15,13 +15,14 @@ import time
 import numpy as np
 import pytest
 
+from candidate_route import build_candidates, fold_angles, select_best, sort_folded
 from dasris.baselines import (
     continuous_upper_bound,
     exhaustive_search,
     greedy_bitflip,
     random_best_of_k,
 )
-from dasris.das import build_candidates, das_solve, fold_angles, select_best, sort_folded
+from dasris.das import das_solve
 from dasris.harness import ExperimentPlan, timing_scaling
 from dasris.model import (
     ChannelParams,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dasris.baselines import (
+    EXHAUSTIVE_LIMIT,
     BaselineResult,
     ExhaustiveLimitError,
     continuous_upper_bound,
@@ -58,10 +59,10 @@ def test_exhaustive_matches_itertools_enumeration():
 
 
 def test_exhaustive_refuses_above_limit():
-    ch = generate_channel(6, 0)
+    ch = generate_channel(EXHAUSTIVE_LIMIT + 1, 0)
     with pytest.raises(ExhaustiveLimitError) as err:
-        exhaustive_search(ch, limit=5)
-    assert "5" in str(err.value)
+        exhaustive_search(ch)
+    assert "20" in str(err.value)
 
 
 def test_exhaustive_chunked_enumeration_consistent():

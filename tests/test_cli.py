@@ -76,10 +76,21 @@ def test_solve_multi_element_output(tmp_path, capsys):
 def test_solve_verify_respects_limit(tmp_path, capsys):
     path = tmp_path / "chan.csv"
     with open(path, "w") as fp:
-        write_channel_csv(generate_channel(6, 3), fp)
-    code = main(["solve", str(path), "--verify-exhaustive", "--exhaustive-limit", "4"])
+        write_channel_csv(generate_channel(21, 3), fp)
+    code = main(["solve", str(path), "--verify-exhaustive"])
     assert code == 4
-    assert "4" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "20" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", [["solve", "chan.csv"], ["bench", "--n", "4"],
+                                     ["compare", "--n", "4"]])
+def test_exhaustive_limit_is_not_an_option(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--exhaustive-limit", "40"])
+    assert exc.value.code == 2
+    assert "--exhaustive-limit" in capsys.readouterr().err
 
 
 def test_gen_writes_channel(tmp_path, capsys):

@@ -7,15 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dasris.baselines import continuous_upper_bound, exhaustive_search
-from dasris.das import (
+from candidate_route import (
     build_candidates,
-    das_solve,
     fold_angles,
     recover_config,
     select_best,
     sort_folded,
 )
+from dasris.baselines import continuous_upper_bound, exhaustive_search
+from dasris.das import das_solve
 from dasris.model import (
     ChannelParams,
     ChannelRealization,

@@ -49,9 +49,9 @@ def test_validate_plan_rejects_bad_inputs():
 
 def test_validate_plan_enforces_exhaustive_limit():
     with pytest.raises(PlanError) as err:
-        validate_plan(small_plan(n_values=(4, 25), exhaustive_limit=20))
+        validate_plan(small_plan(n_values=(4, 21)))
     assert "20" in str(err.value)
-    validate_plan(small_plan(n_values=(4, 25), methods=("das",), exhaustive_limit=20))
+    validate_plan(small_plan(n_values=(4, 21), methods=("das",)))
 
 
 def test_run_plan_rejects_before_work(monkeypatch):
