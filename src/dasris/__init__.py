@@ -17,7 +17,6 @@ from .harness import (
     TrialRecord,
     aggregate,
     run_plan,
-    timing_scaling,
     trial_seeds,
     write_aggregate_csv,
     write_trial_csv,
@@ -64,7 +63,6 @@ __all__ = [
     "received_power",
     "run_plan",
     "snr_db",
-    "timing_scaling",
     "trial_seeds",
     "write_aggregate_csv",
     "write_channel_csv",

@@ -9,7 +9,6 @@ import numpy as np
 from .model import ChannelRealization, PhaseConfig, composite_phi, received_power
 
 EXHAUSTIVE_LIMIT = 20
-_CHUNK = 1 << 15
 
 
 class ExhaustiveLimitError(ValueError):
@@ -29,13 +28,24 @@ class BaselineResult:
     evaluations: int
 
 
-def exhaustive_search(ch: ChannelRealization) -> BaselineResult:
-    """Enumerate all 2^N configurations and return the best.
+def _signed_sums(phi: np.ndarray, base: complex) -> np.ndarray:
+    """base plus every signed sum of phi; index bit k set means phi[k] enters negated."""
+    sums = np.array([base], dtype=complex)
+    for p in phi:
+        sums = np.concatenate((sums + p, sums - p))
+    return sums
 
-    Configurations are enumerated by an N-bit counter where a set bit n means
-    element n is -1; ties keep the lowest counter value. The homogenized
-    coordinate is pinned to +1 throughout. Refuses to run for N above
-    EXHAUSTIVE_LIMIT.
+
+def exhaustive_search(ch: ChannelRealization) -> BaselineResult:
+    """Evaluate all 2^N configurations and return the best.
+
+    Configurations are numbered by an N-bit counter where a set bit n means
+    element n is -1; ties keep the lowest counter value. One table holds the
+    signed sums of the low floor(N/2) elements plus conj(h_d), another those
+    of the high elements; in their outer sum, high half on the rows, the
+    row-major index of each amplitude is its counter, so the first argmax is
+    the lowest. The homogenized coordinate is pinned to +1 throughout.
+    Refuses to run for N above EXHAUSTIVE_LIMIT.
     """
     n = ch.n
     if n > EXHAUSTIVE_LIMIT:
@@ -43,27 +53,22 @@ def exhaustive_search(ch: ChannelRealization) -> BaselineResult:
             f"exhaustive search over n={n} elements exceeds the limit of {EXHAUSTIVE_LIMIT}"
         )
     comp = composite_phi(ch)
-    count = 1 << n
-    shifts = np.arange(n, dtype=np.uint64)
-    best_power = -1.0
-    best_index = 0
-    for start in range(0, count, _CHUNK):
-        stop = min(start + _CHUNK, count)
-        counters = np.arange(start, stop, dtype=np.uint64)
-        bits = (counters[:, None] >> shifts[None, :]) & np.uint64(1)
-        signs = 1.0 - 2.0 * bits
-        amps = signs @ comp.phi + comp.h_d_conj
-        powers = amps.real**2 + amps.imag**2
-        j = int(np.argmax(powers))
-        if powers[j] > best_power:
-            best_power = float(powers[j])
-            best_index = start + j
+    half = n // 2
+    low = _signed_sums(comp.phi[:half], comp.h_d_conj)
+    high = _signed_sums(comp.phi[half:], 0.0)
+    # real and imaginary grids squared in place: no complex 2^N grid
+    powers = np.add.outer(high.real, low.real)
+    imag = np.add.outer(high.imag, low.imag)
+    powers *= powers
+    imag *= imag
+    powers += imag
+    best_index = int(np.argmax(powers))
     w = 1 - 2 * ((best_index >> np.arange(n)) & 1)
     config = PhaseConfig(w=w)
     return BaselineResult(
         config=config,
         power=received_power(ch, config),
-        evaluations=count,
+        evaluations=1 << n,
     )
 
 

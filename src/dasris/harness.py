@@ -215,31 +215,6 @@ def aggregate(records: list[TrialRecord]) -> list[AggregateRow]:
     return rows
 
 
-def timing_scaling(plan: ExperimentPlan) -> list[tuple[int, float]]:
-    """Total solver-only time of the sort-based solver per surface size.
-
-    Only accepts plans whose sole method is das. Channels are pregenerated
-    and one warm-up solve per size is excluded from the totals.
-    """
-    validate_plan(plan)
-    if plan.methods != ("das",):
-        raise PlanError("timing_scaling only times the das method")
-    totals = []
-    for n in plan.n_values:
-        channels = [
-            generate_channel(n, trial_seeds(plan.base_seed, n, t)[0], plan.channel_params)
-            for t in range(plan.trials)
-        ]
-        das_solve(channels[0])
-        total = 0.0
-        for ch in channels:
-            t0 = time.perf_counter()
-            das_solve(ch)
-            total += time.perf_counter() - t0
-        totals.append((n, total))
-    return totals
-
-
 def write_trial_csv(records: list[TrialRecord], fp: io.TextIOBase) -> None:
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(TRIAL_CSV_HEADER)

@@ -116,10 +116,9 @@ class PhaseConfig:
         w = np.atleast_1d(np.asarray(self.w))
         if w.ndim != 1 or w.shape[0] < 1:
             raise ValueError("w must be a non-empty vector")
-        w = w.astype(np.int64)
-        if not np.all(np.abs(w) == 1):
+        if not np.all((w == 1) | (w == -1)):
             raise ValueError("w entries must be +1 or -1")
-        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "w", w.astype(np.int64))
 
     @property
     def n(self) -> int:

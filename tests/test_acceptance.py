@@ -23,7 +23,7 @@ from dasris.baselines import (
     random_best_of_k,
 )
 from dasris.das import das_solve
-from dasris.harness import ExperimentPlan, timing_scaling
+from dasris.harness import ExperimentPlan, aggregate, run_plan
 from dasris.model import (
     ChannelParams,
     ChannelRealization,
@@ -175,7 +175,7 @@ def test_criterion_4_complexity_scaling(capsys):
     plan = ExperimentPlan(n_values=(1000, 2000), trials=100, base_seed=SWEEP_SEED)
     attempts = []
     for _ in range(2):
-        timings = dict(timing_scaling(plan))
+        timings = {row.n: row.total_time for row in aggregate(run_plan(plan))}
         ratio = timings[2000] / timings[1000]
         attempts.append(ratio)
         if ratio <= 3.0:

@@ -58,6 +58,27 @@ def test_exhaustive_matches_itertools_enumeration():
         assert res.evaluations == 2**n
 
 
+def test_exhaustive_ties_keep_the_first_counter_of_a_plain_loop():
+    # Gaussian-integer channels: every power is an exact integer, so ties are
+    # exact and the winner must be the first maximiser in counter order
+    rng = np.random.default_rng(505)
+    grid = [0, 1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]
+    for n in range(1, 10):
+        for h_d in (0, 1):
+            for _ in range(30):
+                g = [grid[i] for i in rng.integers(0, len(grid), size=n)]
+                best_power, best_w = -1.0, None
+                for c in range(2**n):
+                    w = [1 - 2 * ((c >> k) & 1) for k in range(n)]
+                    amp = h_d + sum(wk * gk for wk, gk in zip(w, g))
+                    power = amp.real**2 + amp.imag**2
+                    if power > best_power:
+                        best_power, best_w = power, w
+                res = exhaustive_search(make_channel(g, [1] * n, h_d))
+                assert np.array_equal(res.config.w, best_w), (n, h_d, g)
+                assert res.power == best_power
+
+
 def test_exhaustive_refuses_above_limit():
     ch = generate_channel(EXHAUSTIVE_LIMIT + 1, 0)
     with pytest.raises(ExhaustiveLimitError) as err:
@@ -66,7 +87,7 @@ def test_exhaustive_refuses_above_limit():
 
 
 def test_exhaustive_chunked_enumeration_consistent():
-    # n above the chunk width of 2^15 exercises the chunk loop
+    # n = 17 splits into a low table of 8 elements and a high one of 9
     ch = generate_channel(17, 99)
     res = exhaustive_search(ch)
     assert res.evaluations == 2**17

@@ -327,6 +327,19 @@ def test_das_solve_optimal_on_arbitrary_channels(g_values, h_d):
     assert math.isclose(sol.power, brute_force_power(ch), rel_tol=1e-9, abs_tol=1e-12)
 
 
+def test_das_solve_matches_exhaustive_up_to_the_cap():
+    # the acceptance sweep covers N = 1..14; this covers the sizes above it
+    # up to EXHAUSTIVE_LIMIT, with and without a direct link
+    for n in range(15, 21):
+        for los in (True, False):
+            params = ChannelParams(los=los)
+            for trial in range(40):
+                seed = int(np.random.SeedSequence((7150, n, int(los), trial)).generate_state(1)[0])
+                ch = generate_channel(n, seed, params)
+                assert math.isclose(das_solve(ch).power, exhaustive_search(ch).power,
+                                    rel_tol=1e-9), (n, los, trial)
+
+
 # pi/4 grid with exact axis points, so duplicates share their sort key exactly
 # and some entries sit on the fold boundaries
 _S = math.sqrt(0.5)

@@ -1,5 +1,6 @@
 import dasris
 import dasris.das
+import dasris.harness
 
 # the explicit candidate route lives in tests/candidate_route.py as the reference
 MOVED_TO_TESTS = (
@@ -28,3 +29,10 @@ def test_candidate_route_is_not_in_the_library():
         assert name not in dasris.__all__
         assert not hasattr(dasris, name)
         assert not hasattr(dasris.das, name)
+
+
+def test_timing_scaling_is_gone():
+    # per-size solver time is aggregate(run_plan(plan)).total_time
+    assert "timing_scaling" not in dasris.__all__
+    assert not hasattr(dasris, "timing_scaling")
+    assert not hasattr(dasris.harness, "timing_scaling")

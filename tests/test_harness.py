@@ -14,7 +14,6 @@ from dasris.harness import (
     TrialRecord,
     aggregate,
     run_plan,
-    timing_scaling,
     trial_seeds,
     validate_plan,
     write_aggregate_csv,
@@ -143,15 +142,6 @@ def test_mean_power_grows_quadratically():
     rows = {row.n: row for row in aggregate(run_plan(plan))}
     ratio = rows[100].mean_power / rows[50].mean_power
     assert 3.0 <= ratio <= 5.4
-
-
-def test_timing_scaling_das_only():
-    with pytest.raises(PlanError):
-        timing_scaling(small_plan())
-    entries = timing_scaling(ExperimentPlan(n_values=(10, 50), trials=5,
-                                            base_seed=0, methods=("das",)))
-    assert [n for n, _ in entries] == [10, 50]
-    assert all(t >= 0.0 for _, t in entries)
 
 
 def test_trial_csv_layout_and_roundtrip():

@@ -93,6 +93,19 @@ def test_phase_config_validation():
     assert np.allclose(cfg.phases(), [0.0, np.pi])
 
 
+@pytest.mark.parametrize("bad", [1.5, -1.9, 1j, 0])
+def test_phase_config_rejects_non_sign_entries_before_the_cast(bad):
+    with pytest.raises(ValueError):
+        PhaseConfig(np.array([bad, -1]))
+
+
+@pytest.mark.parametrize("signs", [[1, -1], [-1.0, 1.0]])
+def test_phase_config_accepts_int_and_float_signs(signs):
+    cfg = PhaseConfig(np.array(signs))
+    assert cfg.w.dtype == np.int64
+    assert cfg.w.tolist() == signs
+
+
 def test_channel_realization_validation():
     with pytest.raises(ValueError):
         make_channel([1, 1], [1], 0)
