@@ -25,7 +25,6 @@ from .model import (
     ChannelFormatError,
     ChannelParams,
     ChannelRealization,
-    CompositePhi,
     PhaseConfig,
     composite_phi,
     generate_channel,
@@ -43,7 +42,6 @@ __all__ = [
     "ChannelFormatError",
     "ChannelParams",
     "ChannelRealization",
-    "CompositePhi",
     "DasSolution",
     "EXHAUSTIVE_LIMIT",
     "ExhaustiveLimitError",

@@ -52,10 +52,10 @@ def exhaustive_search(ch: ChannelRealization) -> BaselineResult:
         raise ExhaustiveLimitError(
             f"exhaustive search over n={n} elements exceeds the limit of {EXHAUSTIVE_LIMIT}"
         )
-    comp = composite_phi(ch)
+    phi_bar = composite_phi(ch)
     half = n // 2
-    low = _signed_sums(comp.phi[:half], comp.h_d_conj)
-    high = _signed_sums(comp.phi[half:], 0.0)
+    low = _signed_sums(phi_bar[:half], phi_bar[-1])
+    high = _signed_sums(phi_bar[half:-1], 0.0)
     # real and imaginary grids squared in place: no complex 2^N grid
     powers = np.add.outer(high.real, low.real)
     imag = np.add.outer(high.imag, low.imag)
@@ -82,10 +82,10 @@ def greedy_bitflip(ch: ChannelRealization, start: PhaseConfig, max_sweeps: int =
     """
     if start.n != ch.n:
         raise ValueError(f"start has {start.n} elements but channel has {ch.n}")
-    comp = composite_phi(ch)
-    phi, h_d_conj = comp.phi, comp.h_d_conj
+    phi_bar = composite_phi(ch)
+    phi = phi_bar[:-1]
     w = start.w.copy()
-    amp = complex(np.dot(w, phi) + h_d_conj)
+    amp = complex(np.dot(w, phi) + phi_bar[-1])
     evaluations = 0
     for _ in range(max_sweeps):
         improved = False
@@ -110,10 +110,10 @@ def random_best_of_k(ch: ChannelRealization, k: int, seed: int) -> BaselineResul
     """Best of k configurations drawn uniformly at random (seeded)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    comp = composite_phi(ch)
+    phi_bar = composite_phi(ch)
     rng = np.random.default_rng(seed)
     signs = rng.integers(0, 2, size=(k, ch.n)) * 2 - 1
-    amps = signs @ comp.phi + comp.h_d_conj
+    amps = signs @ phi_bar[:-1] + phi_bar[-1]
     powers = amps.real**2 + amps.imag**2
     j = int(np.argmax(powers))
     config = PhaseConfig(w=signs[j])
@@ -130,6 +130,5 @@ def continuous_upper_bound(ch: ChannelRealization) -> float:
     Equals (sum_n |phi_n| + |h_d|)^2 * tx_power; no binary configuration can
     exceed it, and it is generally not attained.
     """
-    comp = composite_phi(ch)
-    total = float(np.sum(np.abs(comp.phi)) + abs(comp.h_d_conj))
+    total = float(np.sum(np.abs(np.conj(ch.h_r) * ch.g)) + abs(ch.h_d))
     return total * total * ch.tx_power

@@ -1,10 +1,14 @@
 """Globally optimal binary phase selection by folding and sorting angles.
 
-The received power is lam * |w_bar^T z|^2 where z is the unit direction of
-the homogenized composite vector and w_bar ranges over sign vectors whose
-last entry is pinned to +1 after the fact. Writing z_n = |z_n| e^{j theta_n},
+The received power is tx_power * |w_bar^T phi_bar|^2, where phi_bar =
+(conj(h_r) * g, conj(h_d)) is the homogenized composite vector and w_bar
+ranges over sign vectors whose last entry, the direct link's, is pinned to
++1 after the fact. model.composite_phi returns phi_bar times an exact power
+of two, which moves no angle and no comparison between sign vectors, so the
+sweep below reads its output as it comes. Writing
+phi_bar_n = |phi_bar_n| e^{j theta_n},
 
-    |w_bar^T z| = max over psi of sum_n w_bar_n |z_n| cos(psi - theta_n)
+    |w_bar^T phi_bar| = max over psi of sum_n w_bar_n |phi_bar_n| cos(psi - theta_n)
 
 and for a fixed psi the best entry is w_bar_n = sgn(cos(psi - theta_n)).
 Folding every angle into [-pi/2, pi/2), with a recorded sign flip for the
@@ -43,15 +47,9 @@ HALF_PI = np.pi / 2.0
 
 @dataclass(frozen=True)
 class DasSolution:
-    """Optimal configuration plus diagnostics.
-
-    w_bar is the homogenized sign vector normalized to end in +1;
-    objective_amplitude is |w_bar^T z| and power the received power of config.
-    """
+    """Optimal configuration and its received power."""
 
     config: PhaseConfig
-    w_bar: np.ndarray
-    objective_amplitude: float
     power: float
 
 
@@ -77,18 +75,18 @@ def _fold(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return folded, flip, v
 
 
-def _best_step_pattern(z: np.ndarray) -> tuple[np.ndarray, float]:
-    """Best prefix-step sign vector for z, without materializing candidates.
+def _best_step_pattern(phi_bar: np.ndarray) -> np.ndarray:
+    """Best prefix-step sign vector for phi_bar, without materializing candidates.
 
-    Candidate k's inner product with z is 2 * prefix_k - total, where
+    Candidate k's inner product with phi_bar is 2 * prefix_k - total, where
     prefix_k sums the first k+1 flip-corrected entries in sorted order, so
     one cumulative sum scores every candidate. Only the ends of runs of
     equal folded angles are scored (see the module docstring), which makes
     the winner independent of how the sort orders a run; the lowest such k
-    wins ties. Returns w_bar, already negated so that its last entry is +1,
-    and its amplitude |w_bar^T z|.
+    wins ties. Returns w_bar, the winning sign vector, negated where needed
+    so that its last entry is +1.
     """
-    folded, flip, v = _fold(z)
+    folded, flip, v = _fold(phi_bar)
     order = np.argsort(folded)
     # in place, and each N-wide buffer dropped once used, to keep the peak low
     prefix = np.cumsum(v[order])
@@ -103,7 +101,7 @@ def _best_step_pattern(z: np.ndarray) -> tuple[np.ndarray, float]:
     scores[:-1][keys[1:] == keys[:-1]] = -1.0
     k = int(np.argmax(scores))
     # +1 where the entry is in the winning prefix, unless its fold flipped it
-    plus = np.zeros(z.shape[0], dtype=bool)
+    plus = np.zeros(phi_bar.shape[0], dtype=bool)
     plus[order[: k + 1]] = True
     plus ^= flip
     if not plus[-1]:  # the objective ignores a global sign; pin the last entry to +1
@@ -111,7 +109,7 @@ def _best_step_pattern(z: np.ndarray) -> tuple[np.ndarray, float]:
     w_bar = plus.astype(np.int64)
     w_bar *= 2
     w_bar -= 1
-    return w_bar, float(scores[k])
+    return w_bar
 
 
 def das_solve(ch: ChannelRealization) -> DasSolution:
@@ -119,14 +117,9 @@ def das_solve(ch: ChannelRealization) -> DasSolution:
 
     Composes the composite-vector reduction, angle folding, sorting, and
     candidate scoring; O(N log N) total. The returned power is exact for the
-    returned configuration (it is re-evaluated against the channel).
+    returned configuration (it is re-evaluated against the channel), and a
+    power that overflows a float raises ValueError.
     """
-    comp = composite_phi(ch)
-    w_bar, amplitude = _best_step_pattern(comp.z)
+    w_bar = _best_step_pattern(composite_phi(ch))
     config = PhaseConfig(w=w_bar[:-1])
-    return DasSolution(
-        config=config,
-        w_bar=w_bar,
-        objective_amplitude=amplitude,
-        power=received_power(ch, config),
-    )
+    return DasSolution(config=config, power=received_power(ch, config))

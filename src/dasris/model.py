@@ -129,54 +129,43 @@ class PhaseConfig:
         return np.where(self.w > 0, 0.0, np.pi)
 
 
-@dataclass(frozen=True)
-class CompositePhi:
-    """Per-element composite coefficients plus the homogenized rank-one data.
+def composite_phi(ch: ChannelRealization) -> np.ndarray:
+    """The composite vector phi_bar = (conj(h_r) * g, conj(h_d)), exactly rescaled.
 
-    phi_bar stacks phi with conj(h_d). lam is its squared norm and z its unit
-    direction, so |w_bar^T phi_bar|^2 = lam * |w_bar^T z|^2 without any
-    eigensolver. For an all-zero phi_bar, z falls back to the first basis
-    vector and lam is 0.
+    Every entry is multiplied by one power of two, chosen so that the largest
+    real or imaginary part lies in [0.5, 1). The scaling is exact, so it
+    moves no angle, sign or comparison between sign patterns, and amplitudes
+    built from the result can be squared without overflow or underflow. An
+    all-zero vector is returned unchanged.
     """
-
-    phi_bar: np.ndarray
-    lam: float
-    z: np.ndarray
-
-    @property
-    def phi(self) -> np.ndarray:
-        """The per-element coefficients conj(h_r) * g, a view of phi_bar."""
-        return self.phi_bar[:-1]
-
-    @property
-    def h_d_conj(self) -> complex:
-        """The conjugated direct link, the last entry of phi_bar."""
-        return self.phi_bar[-1]
-
-
-def composite_phi(ch: ChannelRealization) -> CompositePhi:
-    """Collapse a channel into the composite vector the optimizers consume."""
     phi_bar = np.empty(ch.n + 1, dtype=complex)
     # written straight into phi_bar, so phi needs no copy of its own
     np.multiply(np.conj(ch.h_r), ch.g, out=phi_bar[:-1])
     phi_bar[-1] = np.conj(ch.h_d)
-    lam = float(np.sum(phi_bar.real**2 + phi_bar.imag**2))
-    if lam > 0.0:
-        z = phi_bar / math.sqrt(lam)
-    else:
-        z = np.zeros(phi_bar.shape[0], dtype=complex)
-        z[0] = 1.0
-    return CompositePhi(phi_bar=phi_bar, lam=lam, z=z)
+    parts = phi_bar.view(np.float64)
+    top = max(float(parts.max()), -float(parts.min()))
+    if top > 0.0:
+        # ldexp, not a multiply by 2.0**-e, which overflows for a subnormal top
+        np.ldexp(parts, -math.frexp(top)[1], out=parts)
+    return phi_bar
 
 
 def received_power(ch: ChannelRealization, config: PhaseConfig) -> float:
-    """Received signal power |h_r^H diag(w) g + h_d^H|^2 * tx_power."""
+    """Received signal power |h_r^H diag(w) g + h_d^H|^2 * tx_power.
+
+    Raises ValueError when the power is not finite, that is when it
+    overflows a float; every solver's returned power comes from here.
+    """
     if config.n != ch.n:
         raise ValueError(
             f"config has {config.n} elements but channel has {ch.n}"
         )
-    amp = np.vdot(ch.h_r, config.w * ch.g) + np.conj(ch.h_d)
-    return float((amp.real**2 + amp.imag**2) * ch.tx_power)
+    amp = complex(np.vdot(ch.h_r, config.w * ch.g)) + ch.h_d.conjugate()
+    # Python floats: an overflow gives inf rather than a numpy warning
+    power = (amp.real * amp.real + amp.imag * amp.imag) * ch.tx_power
+    if not math.isfinite(power):
+        raise ValueError(f"received power overflows a float ({power})")
+    return power
 
 
 def snr_db(power: float, noise_power: float) -> float:

@@ -102,11 +102,11 @@ def oracle_sweep() -> SweepStats:
                 if not math.isclose(sol.power, oracle.power, rel_tol=ORACLE_RTOL):
                     stats.power_mismatches += 1
 
-                comp = composite_phi(ch)
-                fold = fold_angles(comp.z)
+                phi_bar = composite_phi(ch)
+                fold = fold_angles(phi_bar)
                 cands = build_candidates(fold, sort_folded(fold))
                 w_bar_target = np.concatenate([oracle.config.w, [1]])
-                literal, quotient = _membership(comp.z, cands.columns, w_bar_target)
+                literal, quotient = _membership(phi_bar, cands.columns, w_bar_target)
                 if not literal:
                     if los:
                         stats.literal_misses_los += 1
@@ -234,16 +234,16 @@ def test_criterion_7_property_suite(capsys):
     cases = 0
     failures = []
 
-    # Phase invariance: rotating the unit profile by a common phase cannot
+    # Phase invariance: rotating the composite vector by a common phase cannot
     # change the best achievable amplitude.
     rng = np.random.default_rng(SWEEP_SEED)
     for i in range(10):
         ch = generate_channel(24, _instance_seed(24, True, 30_000 + i))
-        comp = composite_phi(ch)
-        fold = fold_angles(comp.z)
-        _, base_score = select_best(build_candidates(fold, sort_folded(fold)), comp.z)
+        phi_bar = composite_phi(ch)
+        fold = fold_angles(phi_bar)
+        _, base_score = select_best(build_candidates(fold, sort_folded(fold)), phi_bar)
         for alpha in rng.uniform(0.0, 2.0 * np.pi, size=100):
-            z_rot = comp.z * np.exp(1j * alpha)
+            z_rot = phi_bar * np.exp(1j * alpha)
             fold_rot = fold_angles(z_rot)
             _, score = select_best(build_candidates(fold_rot, sort_folded(fold_rot)), z_rot)
             cases += 1
@@ -286,8 +286,7 @@ def test_criterion_7_property_suite(capsys):
     for i in range(200):
         n = 1 + i % 12
         ch = generate_channel(n, _instance_seed(n, False, 33_000 + i), no_los)
-        comp = composite_phi(ch)
-        fold = fold_angles(comp.z)
+        fold = fold_angles(composite_phi(ch))
         cases += 1
         if fold.folded_angles[-1] != 0.0 or fold.flip_mask[-1]:
             failures.append(f"zero-magnitude fold wrong at n={n} i={i}")

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from dasris.cli import main
-from dasris.model import generate_channel, write_channel_csv
+from dasris.model import ChannelRealization, generate_channel, write_channel_csv
 
 SOLVE_FILE = """idx,g_re,g_im,hr_re,hr_im
 1,1.0,0.0,1.0,0.0
@@ -51,6 +51,20 @@ def test_solve_non_finite_file_is_input_error(tmp_path, capsys, token):
     path.write_text(f"idx,g_re,g_im,hr_re,hr_im\n1,1.0,{token},1.0,0.0\nhd,1.0,0.0,1.0,1.0\n")
     assert main(["solve", str(path)]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_solve_power_overflow_is_input_error(tmp_path, capsys, verify):
+    # scaled by 1e160 the optimal power is near 1e321, past the largest float
+    ch = generate_channel(8, 3)
+    path = tmp_path / "huge.csv"
+    with open(path, "w", newline="") as fp:
+        write_channel_csv(ChannelRealization(g=ch.g * 1e160, h_r=ch.h_r, h_d=ch.h_d * 1e160,
+                                             noise_power=1.0), fp)
+    assert main(["solve", str(path)] + (["--verify-exhaustive"] if verify else [])) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "overflow" in err
 
 
 def test_solve_missing_file_is_io_error(tmp_path, capsys):

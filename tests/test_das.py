@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from candidate_route import (
@@ -194,11 +194,11 @@ def test_recover_config_rejects_bad_entries():
 
 
 def test_das_solve_single_element():
-    sol = das_solve(make_channel([1], [1], 1))
+    ch = make_channel([1], [1], 1)
+    sol = das_solve(ch)
     assert np.array_equal(sol.config.w, [1])
     assert sol.power == 4.0
-    assert np.array_equal(sol.w_bar, [1, 1])
-    assert math.isclose(sol.objective_amplitude, math.sqrt(2), rel_tol=1e-12)
+    assert sol.power == received_power(ch, sol.config)
 
 
 def test_das_solve_no_direct_link_two_elements():
@@ -216,7 +216,7 @@ def test_das_solve_matches_hand_enumerated_oracle():
 def test_das_solve_all_zero_channel():
     sol = das_solve(make_channel([0, 0], [0, 0], 0))
     assert sol.power == 0.0
-    assert sol.w_bar[-1] == 1
+    assert np.array_equal(sol.config.w, [1, 1])
 
 
 def test_das_solve_agrees_with_brute_force():
@@ -235,15 +235,15 @@ def test_das_solve_matches_explicit_candidate_route():
         n = int(rng.integers(1, 24))
         ch = generate_channel(n, int(rng.integers(0, 2**32)))
         sol = das_solve(ch)
-        comp = composite_phi(ch)
-        fold = fold_angles(comp.z)
+        phi_bar = composite_phi(ch)
+        fold = fold_angles(phi_bar)
         cands = build_candidates(fold, sort_folded(fold))
-        raw, amp = select_best(cands, comp.z)
-        config, w_bar = recover_config(raw)
-        assert math.isclose(amp, sol.objective_amplitude, rel_tol=1e-9, abs_tol=1e-12)
+        raw, _ = select_best(cands, phi_bar)
+        config, _ = recover_config(raw)
+        assert sol.power == received_power(ch, sol.config)
         assert math.isclose(received_power(ch, config), sol.power, rel_tol=1e-9, abs_tol=1e-12)
         # generic direct-link instances have a unique optimum up to global sign
-        assert np.array_equal(w_bar, sol.w_bar)
+        assert np.array_equal(config.w, sol.config.w)
 
 
 def test_das_solution_invariants():
@@ -255,14 +255,44 @@ def test_das_solution_invariants():
         params = ChannelParams(los=los, tx_power=tx)
         ch = generate_channel(n, int(rng.integers(0, 2**32)), params)
         sol = das_solve(ch)
-        comp = composite_phi(ch)
-        assert sol.w_bar[-1] == 1
-        assert np.array_equal(sol.w_bar[:-1], sol.config.w)
-        assert math.isclose(sol.objective_amplitude, abs(sol.w_bar @ comp.z), rel_tol=1e-12)
-        assert math.isclose(
-            sol.power, comp.lam * sol.objective_amplitude**2 * ch.tx_power,
-            rel_tol=1e-9, abs_tol=1e-12,
-        )
+        assert sol.config.n == ch.n
+        assert sol.power == received_power(ch, sol.config)
+
+
+def scaled_channel(ch, c):
+    return ChannelRealization(g=ch.g * c, h_r=ch.h_r, h_d=ch.h_d * c,
+                              noise_power=ch.noise_power, tx_power=ch.tx_power)
+
+
+def test_power_past_the_largest_float_is_rejected():
+    ch = generate_channel(8, 3)
+    huge = scaled_channel(ch, 1e160)
+    for solve in (das_solve, exhaustive_search):
+        with pytest.raises(ValueError, match="overflow"):
+            solve(huge)
+    big = das_solve(scaled_channel(ch, 1e150))
+    assert math.isfinite(big.power)
+    assert np.array_equal(big.config.w, das_solve(ch).config.w)
+
+
+@seed(7242)
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32 - 1),
+       st.booleans(), st.integers(min_value=-1000, max_value=1000))
+@settings(max_examples=200, deadline=None)
+def test_das_and_exhaustive_are_scale_proof(n, channel_seed, los, k):
+    # scaling g and h_d by 2^k scales every amplitude alike, so the configs
+    # chosen on the scaled channel must be optimal on the base channel
+    base = generate_channel(n, channel_seed, ChannelParams(los=los))
+    best = exhaustive_search(base).power
+    scaled = scaled_channel(base, 2.0**k)
+    for solve in (das_solve, exhaustive_search):
+        try:
+            config = solve(scaled).config
+        except ValueError:
+            # refused only when the scaled optimum, best * 4^k, passes 2^1024
+            assert math.log2(best) + 2 * k >= 1024 - 1e-9
+            continue
+        assert math.isclose(received_power(base, config), best, rel_tol=1e-9)
 
 
 def test_das_power_invariant_under_global_phase():
@@ -310,8 +340,7 @@ def test_das_scale_equivariance():
 def test_candidate_count_is_n_plus_one():
     for n in (1, 2, 5, 17):
         ch = generate_channel(n, n)
-        comp = composite_phi(ch)
-        fold = fold_angles(comp.z)
+        fold = fold_angles(composite_phi(ch))
         cands = build_candidates(fold, sort_folded(fold))
         assert cands.columns.shape == (n + 1, n + 1)
 

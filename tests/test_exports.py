@@ -1,6 +1,9 @@
+import dataclasses
+
 import dasris
 import dasris.das
 import dasris.harness
+import dasris.model
 
 # the explicit candidate route lives in tests/candidate_route.py as the reference
 MOVED_TO_TESTS = (
@@ -36,3 +39,9 @@ def test_timing_scaling_is_gone():
     assert "timing_scaling" not in dasris.__all__
     assert not hasattr(dasris, "timing_scaling")
     assert not hasattr(dasris.harness, "timing_scaling")
+
+
+def test_composite_phi_returns_a_plain_vector():
+    assert "CompositePhi" not in dasris.__all__
+    assert not hasattr(dasris.model, "CompositePhi")
+    assert tuple(f.name for f in dataclasses.fields(dasris.DasSolution)) == ("config", "power")

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from dasris.model import (
@@ -29,27 +29,60 @@ def make_channel(g, h_r, h_d, noise_power=1.0, tx_power=1.0):
                               h_d=h_d, noise_power=noise_power, tx_power=tx_power)
 
 
+def pow2_exponent(scaled, raw):
+    """The e for which scaled == raw * 2**e holds exactly; fails if there is none."""
+    parts = np.asarray(raw, dtype=complex).view(np.float64)
+    j = int(np.argmax(np.abs(parts)))
+    e = math.frexp(scaled.view(np.float64)[j])[1] - math.frexp(parts[j])[1]
+    assert np.array_equal(np.ldexp(parts, e), scaled.view(np.float64))
+    return e
+
+
 def test_composite_phi_single_element_with_direct_link():
-    comp = composite_phi(make_channel([1], [1], 1))
-    assert np.allclose(comp.phi_bar, [1.0, 1.0])
-    assert comp.lam == 2.0
-    assert np.allclose(comp.z, [1 / math.sqrt(2), 1 / math.sqrt(2)])
+    # (1, 1) scaled by 2^-1 puts the largest part at 0.5
+    assert np.array_equal(composite_phi(make_channel([1], [1], 1)), [0.5, 0.5])
 
 
 def test_composite_phi_conjugates_h_r():
-    # phi_n = conj(h_r_n) * g_n, worked by hand
-    comp = composite_phi(make_channel([1 + 1j, 2], [1, 1j], 0.5))
-    assert np.allclose(comp.phi, [1 + 1j, -2j])
-    assert comp.lam == 6.25
-    assert comp.h_d_conj == 0.5 - 0j
-    assert np.allclose(comp.phi_bar, [1 + 1j, -2j, 0.5])
-    assert math.isclose(np.linalg.norm(comp.z), 1.0, rel_tol=1e-12)
+    # phi_n = conj(h_r_n) * g_n, worked by hand: (1+1j, -2j, 0.5), then
+    # scaled by 2^-2 so that the largest part, |-2|, lands at 0.5
+    phi_bar = composite_phi(make_channel([1 + 1j, 2], [1, 1j], 0.5))
+    assert np.array_equal(phi_bar, np.array([1 + 1j, -2j, 0.5]) / 4)
 
 
-def test_composite_phi_all_zero_falls_back_to_basis_vector():
-    comp = composite_phi(make_channel([0, 0], [0, 0], 0))
-    assert comp.lam == 0.0
-    assert np.array_equal(comp.z, [1.0, 0.0, 0.0])
+def test_composite_phi_all_zero_is_returned_unchanged():
+    phi_bar = composite_phi(make_channel([0, 0], [0, 0], 0))
+    assert np.array_equal(phi_bar, [0.0, 0.0, 0.0])
+
+
+SMALL_PARTS = st.integers(min_value=-8, max_value=8)
+
+
+@seed(7241)
+@given(st.lists(st.tuples(SMALL_PARTS, SMALL_PARTS, SMALL_PARTS, SMALL_PARTS),
+                min_size=1, max_size=12),
+       st.tuples(SMALL_PARTS, SMALL_PARTS),
+       st.integers(min_value=-1074, max_value=1000))
+@settings(max_examples=200, deadline=None)
+# g = [5e-324], h_r = [1], h_d = 0 must give [0.5, 0]: a multiply by
+# 2.0**1074 would overflow there
+@example(elements=[(1, 0, 1, 0)], h_d=(0, 0), k=-1074)
+def test_composite_phi_is_an_exact_power_of_two_multiple(elements, h_d, k):
+    # small integer parts times 2^k keep every product and sum exact, even
+    # among subnormals, so the hand-computed vector below is exact as well
+    scale = 2.0**k
+    g = np.array([complex(a, b) for a, b, _, _ in elements]) * scale
+    h_r = np.array([complex(c, d) for _, _, c, d in elements])
+    # conj(c + dj) * (a + bj) = (ac + bd) + (bc - ad)j, then conj(h_d)
+    hand = [complex(a * c + b * d, b * c - a * d) * scale for a, b, c, d in elements]
+    hand.append(complex(h_d[0], -h_d[1]) * scale)
+    phi_bar = composite_phi(make_channel(g, h_r, complex(*h_d) * scale))
+    top = float(np.max(np.abs(phi_bar.view(np.float64))))
+    if any(hand):
+        assert 0.5 <= top < 1.0
+    else:
+        assert top == 0.0
+    pow2_exponent(phi_bar, hand)
 
 
 def test_received_power_all_aligned():
@@ -184,17 +217,19 @@ def test_generate_channel_copies_params():
 @given(st.integers(min_value=1, max_value=16), st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=60, deadline=None)
 def test_power_routes_agree(n, seed):
-    """|h_r^H diag(w) g + h_d^H|^2 equals |w_bar^T phi_bar|^2 and lam |w_bar^T z|^2."""
+    """|h_r^H diag(w) g + h_d^H|^2 equals |w_bar^T phi_bar|^2, before and after the rescaling."""
     rng = np.random.default_rng(seed)
     ch = generate_channel(n, seed, ChannelParams(los=bool(seed % 2)))
     w = rng.integers(0, 2, size=n) * 2 - 1
     direct = received_power(ch, PhaseConfig(w))
-    comp = composite_phi(ch)
+    raw = np.append(np.conj(ch.h_r) * ch.g, np.conj(ch.h_d))
+    phi_bar = composite_phi(ch)
+    e = pow2_exponent(phi_bar, raw)
     w_bar = np.concatenate([w, [1]])
-    via_phi_bar = abs(w_bar @ comp.phi_bar) ** 2 * ch.tx_power
-    via_z = comp.lam * abs(w_bar @ comp.z) ** 2 * ch.tx_power
+    via_phi_bar = abs(w_bar @ raw) ** 2 * ch.tx_power
+    via_scaled = math.ldexp(abs(w_bar @ phi_bar) ** 2, -2 * e) * ch.tx_power
     assert math.isclose(direct, via_phi_bar, rel_tol=1e-9, abs_tol=1e-12)
-    assert math.isclose(direct, via_z, rel_tol=1e-9, abs_tol=1e-12)
+    assert math.isclose(direct, via_scaled, rel_tol=1e-9, abs_tol=1e-12)
 
 
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**31))
