@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,7 +129,12 @@ def continuous_upper_bound(ch: ChannelRealization) -> float:
     """Power with every reflection phased perfectly, an upper bound for 1-bit.
 
     Equals (sum_n |phi_n| + |h_d|)^2 * tx_power; no binary configuration can
-    exceed it, and it is generally not attained.
+    exceed it, and it is generally not attained. Raises ValueError when the
+    bound is not finite, that is when it overflows a float.
     """
-    total = float(np.sum(np.abs(np.conj(ch.h_r) * ch.g)) + abs(ch.h_d))
-    return total * total * ch.tx_power
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(np.abs(np.conj(ch.h_r) * ch.g)) + abs(ch.h_d))
+    bound = total * total * ch.tx_power
+    if not math.isfinite(bound):
+        raise ValueError(f"continuous upper bound overflows a float ({bound})")
+    return bound

@@ -20,6 +20,9 @@ from pathlib import Path
 from .baselines import EXHAUSTIVE_LIMIT, ExhaustiveLimitError, exhaustive_search
 from .das import das_solve
 from .harness import (
+    METHODS,
+    ORACLE_ABS_TOL,
+    ORACLE_REL_TOL,
     ExperimentPlan,
     PlanError,
     aggregate,
@@ -59,14 +62,13 @@ def _csv_names(text: str) -> tuple[str, ...]:
     return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
-def _add_sweep_options(sub: argparse.ArgumentParser, with_methods: bool = True) -> None:
+def _add_sweep_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n", type=_csv_ints, required=True,
                      help="comma-separated surface sizes, e.g. 10,100")
     sub.add_argument("--trials", type=int, default=100, help="trials per size")
     sub.add_argument("--seed", type=int, default=0, help="base seed")
-    if with_methods:
-        sub.add_argument("--methods", type=_csv_names, default=("das",),
-                         help="comma-separated subset of das,exhaustive,greedy,random")
+    sub.add_argument("--methods", type=_csv_names, default=("das",),
+                     help=f"comma-separated subset of {','.join(METHODS)}")
     _add_channel_options(sub)
 
 
@@ -151,7 +153,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"power: {solution.power!r}")
     print(f"snr_db: {snr_db(solution.power, ch.noise_power)!r}")
     if reference is not None:
-        if math.isclose(solution.power, reference.power, rel_tol=1e-9, abs_tol=1e-12):
+        if math.isclose(solution.power, reference.power, rel_tol=ORACLE_REL_TOL,
+                        abs_tol=ORACLE_ABS_TOL):
             print("verified: optimal")
         else:
             print(

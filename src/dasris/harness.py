@@ -16,22 +16,36 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import (
-    EXHAUSTIVE_LIMIT,
-    exhaustive_search,
-    greedy_bitflip,
-    random_best_of_k,
-)
+from .baselines import EXHAUSTIVE_LIMIT, exhaustive_search, greedy_bitflip, random_best_of_k
 from .das import das_solve
 from .model import ChannelParams, _fmt, generate_channel, snr_db
 
-METHOD_ORDER = ("das", "exhaustive", "greedy", "random")
 TRIAL_CSV_HEADER = ("n", "trial", "method", "power", "snr_db", "wall_time_s")
 AGGREGATE_CSV_HEADER = (
     "n", "method", "mean_snr_db", "mean_power", "total_time_s", "optimality_rate"
 )
 ORACLE_REL_TOL = 1e-9
+ORACLE_ABS_TOL = 1e-12
 RANDOM_K = 16  # draws per trial for the random method, and greedy's start
+
+
+def _timed(solve, *args):
+    """Call solve(*args); return its result and the call's wall time in seconds."""
+    t0 = time.perf_counter()
+    result = solve(*args)
+    return result, time.perf_counter() - t0
+
+
+# name -> run(channel, draw) giving (result, seconds); draw is the trial's timed
+# random draw. Key order is record order. Each solver is looked up as a module
+# global when called, so a rebound name (a test double, a tracer) is what runs.
+METHODS = {
+    "das": lambda ch, draw: _timed(das_solve, ch),
+    "exhaustive": lambda ch, draw: _timed(exhaustive_search, ch),
+    "greedy": lambda ch, draw: _timed(greedy_bitflip, ch, draw[0].config),
+    "random": lambda ch, draw: draw,
+}
+_DRAW_USERS = frozenset(("greedy", "random"))
 
 
 class PlanError(ValueError):
@@ -89,11 +103,9 @@ def validate_plan(plan: ExperimentPlan) -> None:
         raise PlanError("base_seed must be >= 0")
     if not plan.methods:
         raise PlanError("plan needs at least one method")
-    unknown = [m for m in plan.methods if m not in METHOD_ORDER]
+    unknown = [m for m in plan.methods if m not in METHODS]
     if unknown:
-        raise PlanError(
-            f"unknown methods {unknown}; choose from {', '.join(METHOD_ORDER)}"
-        )
+        raise PlanError(f"unknown methods {unknown}; choose from {', '.join(METHODS)}")
     if len(set(plan.methods)) != len(plan.methods):
         raise PlanError("methods must not repeat")
     if "exhaustive" in plan.methods:
@@ -120,52 +132,26 @@ def trial_seeds(base_seed: int, n: int, trial: int) -> tuple[int, int]:
 def run_plan(plan: ExperimentPlan) -> list[TrialRecord]:
     """Run every (n, trial, method) cell and return records in that order.
 
-    Methods run in the fixed order das, exhaustive, greedy, random on a
-    shared channel realization per trial. Powers and SNRs are deterministic
-    given the plan; wall times are not.
+    On each trial's shared channel realization the records come in the
+    table order of METHODS: das, exhaustive, greedy, random. When greedy or
+    random is requested the random draw runs once, before any method.
+    Powers and SNRs are deterministic given the plan; wall times are not.
     """
     validate_plan(plan)
     noise = plan.channel_params.noise_power
+    methods = [m for m in METHODS if m in plan.methods]
+    draws = not _DRAW_USERS.isdisjoint(plan.methods)
     records: list[TrialRecord] = []
     for n in plan.n_values:
         for t in range(plan.trials):
             chan_seed, sample_seed = trial_seeds(plan.base_seed, n, t)
             ch = generate_channel(n, chan_seed, plan.channel_params)
-            random_result = None
-            random_elapsed = 0.0
-            if "greedy" in plan.methods or "random" in plan.methods:
-                t0 = time.perf_counter()
-                random_result = random_best_of_k(ch, RANDOM_K, sample_seed)
-                random_elapsed = time.perf_counter() - t0
-            for method in METHOD_ORDER:
-                if method not in plan.methods:
-                    continue
-                if method == "das":
-                    t0 = time.perf_counter()
-                    solution = das_solve(ch)
-                    elapsed = time.perf_counter() - t0
-                    power = solution.power
-                elif method == "exhaustive":
-                    t0 = time.perf_counter()
-                    power = exhaustive_search(ch).power
-                    elapsed = time.perf_counter() - t0
-                elif method == "greedy":
-                    t0 = time.perf_counter()
-                    power = greedy_bitflip(ch, random_result.config).power
-                    elapsed = time.perf_counter() - t0
-                else:
-                    power = random_result.power
-                    elapsed = random_elapsed
-                records.append(
-                    TrialRecord(
-                        n=n,
-                        trial=t,
-                        method=method,
-                        power=power,
-                        snr_db=snr_db(power, noise),
-                        wall_time=elapsed,
-                    )
-                )
+            draw = _timed(random_best_of_k, ch, RANDOM_K, sample_seed) if draws else None
+            for method in methods:
+                result, elapsed = METHODS[method](ch, draw)
+                power = result.power
+                records.append(TrialRecord(n=n, trial=t, method=method, power=power,
+                                           snr_db=snr_db(power, noise), wall_time=elapsed))
     return records
 
 
@@ -177,31 +163,16 @@ def aggregate(records: list[TrialRecord]) -> list[AggregateRow]:
     (n, trial) within 1e-9 relative; it is 1.0 for exhaustive itself and NaN
     when no exhaustive record exists for that n.
     """
-    oracle: dict[tuple[int, int], float] = {}
-    for rec in records:
-        if rec.method == "exhaustive":
-            oracle[(rec.n, rec.trial)] = rec.power
+    oracle = {(rec.n, rec.trial): rec.power for rec in records if rec.method == "exhaustive"}
     groups: dict[tuple[int, str], list[TrialRecord]] = {}
-    order: list[tuple[int, str]] = []
     for rec in records:
-        key = (rec.n, rec.method)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(rec)
+        groups.setdefault((rec.n, rec.method), []).append(rec)
     rows = []
-    for n, method in order:
-        recs = groups[(n, method)]
-        matches = 0
-        covered = 0
-        for rec in recs:
-            ref = oracle.get((rec.n, rec.trial))
-            if ref is None:
-                continue
-            covered += 1
-            if math.isclose(rec.power, ref, rel_tol=ORACLE_REL_TOL, abs_tol=1e-12):
-                matches += 1
-        rate = matches / covered if covered else float("nan")
+    for (n, method), recs in groups.items():
+        hits = [math.isclose(rec.power, oracle[(n, rec.trial)],
+                             rel_tol=ORACLE_REL_TOL, abs_tol=ORACLE_ABS_TOL)
+                for rec in recs if (n, rec.trial) in oracle]
+        rate = sum(hits) / len(hits) if hits else float("nan")
         rows.append(
             AggregateRow(
                 n=n,

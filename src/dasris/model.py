@@ -136,14 +136,19 @@ def composite_phi(ch: ChannelRealization) -> np.ndarray:
     real or imaginary part lies in [0.5, 1). The scaling is exact, so it
     moves no angle, sign or comparison between sign patterns, and amplitudes
     built from the result can be squared without overflow or underflow. An
-    all-zero vector is returned unchanged.
+    all-zero vector is returned unchanged. Raises ValueError when a product
+    conj(h_r) * g overflows a float, as it can for finite g and h_r.
     """
     phi_bar = np.empty(ch.n + 1, dtype=complex)
-    # written straight into phi_bar, so phi needs no copy of its own
-    np.multiply(np.conj(ch.h_r), ch.g, out=phi_bar[:-1])
+    # written straight into phi_bar, so phi needs no copy of its own; an
+    # overflow shows as a non-finite top below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(np.conj(ch.h_r), ch.g, out=phi_bar[:-1])
     phi_bar[-1] = np.conj(ch.h_d)
     parts = phi_bar.view(np.float64)
     top = max(float(parts.max()), -float(parts.min()))
+    if not math.isfinite(top):
+        raise ValueError("composite coefficient conj(h_r) * g overflows a float")
     if top > 0.0:
         # ldexp, not a multiply by 2.0**-e, which overflows for a subnormal top
         np.ldexp(parts, -math.frexp(top)[1], out=parts)

@@ -12,7 +12,8 @@ scores only the ends of runs of equal folded angles. Where a split inside a
 run ties a run end (the run holds zero-magnitude entries) this route may
 return that split, at the same power.
 
-fold_angles calls the library's own fold, so the fold tests exercise it.
+fold_angles folds by remainder, not by the sign test dasris.das uses, so the
+route checks the solver's fold instead of repeating it.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dasris.das import _fold
 from dasris.model import PhaseConfig
+
+HALF_PI = np.pi / 2.0
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,15 @@ def fold_angles(z: np.ndarray) -> FoldResult:
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if z.ndim != 1:
         raise ValueError("z must be one-dimensional")
-    folded, flip_mask, _ = _fold(z)
+    theta = np.angle(z)
+    folded = np.mod(theta + HALF_PI, np.pi) - HALF_PI
+    # an angle a hair below -pi/2 comes out of the remainder rounded to +pi/2
+    folded[folded >= HALF_PI] = -HALF_PI
+    # moved by pi, not just by rounding
+    flip_mask = np.abs(folded - theta) > 1.0
+    zero = z == 0
+    folded[zero] = 0.0
+    flip_mask[zero] = False
     return FoldResult(folded_angles=folded, flip_mask=flip_mask, magnitudes=np.abs(z))
 
 

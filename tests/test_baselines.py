@@ -172,6 +172,33 @@ def test_continuous_upper_bound_scales_with_tx_power():
     assert continuous_upper_bound(ch) == 27.0
 
 
+# finite coefficients whose product conj(h_r) * g overflows a float
+OVERFLOWING_PRODUCT = dict(g=[1e160, 2e160], h_r=[1e160, 1], h_d=0)
+
+
+def test_overflowing_composite_is_rejected_by_every_solver_and_the_bound():
+    ch = make_channel(**OVERFLOWING_PRODUCT)
+    solvers = (
+        das_solve,
+        exhaustive_search,
+        lambda c: greedy_bitflip(c, PhaseConfig(np.ones(c.n))),
+        lambda c: random_best_of_k(c, 16, seed=1),
+        continuous_upper_bound,
+    )
+    for solve in solvers:
+        with pytest.raises(ValueError, match="overflow"):
+            solve(ch)
+
+
+def test_continuous_upper_bound_rejects_overflow():
+    # every product is finite here, but the bound passes the largest float
+    ch = generate_channel(8, 3)
+    huge = ChannelRealization(g=ch.g * 1e160, h_r=ch.h_r, h_d=ch.h_d * 1e160,
+                              noise_power=ch.noise_power)
+    with pytest.raises(ValueError, match="overflow"):
+        continuous_upper_bound(huge)
+
+
 def test_dominance_chain_on_random_instances():
     rng = np.random.default_rng(99)
     strict = 0

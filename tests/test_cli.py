@@ -67,6 +67,18 @@ def test_solve_power_overflow_is_input_error(tmp_path, capsys, verify):
     assert "overflow" in err
 
 
+def test_solve_overflowing_composite_is_input_error(tmp_path, capsys):
+    # g and h_r are finite, their product conj(h_r) * g is not
+    path = tmp_path / "huge.csv"
+    with open(path, "w", newline="") as fp:
+        write_channel_csv(ChannelRealization(g=[1e160, 2e160], h_r=[1e160, 1], h_d=0,
+                                             noise_power=1.0), fp)
+    assert main(["solve", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "overflow" in err
+
+
 def test_solve_missing_file_is_io_error(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "nope.csv")]) == 3
 

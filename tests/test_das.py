@@ -295,6 +295,34 @@ def test_das_and_exhaustive_are_scale_proof(n, channel_seed, los, k):
         assert math.isclose(received_power(base, config), best, rel_tol=1e-9)
 
 
+# entries 2^k times an exact boundary direction, or zero; with h_r = 1 the
+# composite entries are exactly these values, -0.0 parts included
+_ADVERSARIAL_ENTRY = st.one_of(
+    st.just(0j),
+    st.builds(lambda k, d: complex(math.ldexp(d.real, k), math.ldexp(d.imag, k)),
+              st.integers(min_value=-500, max_value=500),
+              st.sampled_from((1 + 0j, -1 + 0j, 1j, -1j))),
+)
+
+
+@st.composite
+def adversarial_channels(draw):
+    # a small pool drawn from with replacement gives duplicated elements
+    pool = draw(st.lists(_ADVERSARIAL_ENTRY, min_size=1, max_size=6))
+    g = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    h_d = draw(st.one_of(st.just(0j), _ADVERSARIAL_ENTRY))
+    return make_channel(g, np.ones(len(g)), h_d)
+
+
+@seed(90417)
+@given(adversarial_channels())
+@settings(max_examples=300, deadline=None)
+def test_das_and_exhaustive_are_optimal_on_adversarial_channels(ch):
+    best = brute_force_power(ch)
+    for solve in (das_solve, exhaustive_search):
+        assert math.isclose(solve(ch).power, best, rel_tol=1e-9), solve.__name__
+
+
 def test_das_power_invariant_under_global_phase():
     # Rotating every cascade coefficient and the conjugate of the direct link
     # by a common angle leaves |amplitude| untouched, so the optimal power must

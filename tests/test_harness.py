@@ -64,6 +64,41 @@ def test_run_plan_rejects_before_work(monkeypatch):
         run_plan(small_plan(trials=0))
 
 
+@pytest.mark.parametrize("methods", [
+    ("das", "exhaustive", "greedy", "random"),
+    ("greedy",),
+    ("random",),
+    ("das", "exhaustive"),
+    ("random", "greedy"),
+])
+def test_run_plan_calls_each_solver_through_the_module_globals(monkeypatch, methods):
+    # a tracer times the harness by rebinding these names, so each requested
+    # solver must be looked up there on every trial, and the random draw
+    # must run once per trial however many methods read it
+    import dasris.harness as harness
+
+    calls = {}
+    names = ("das_solve", "exhaustive_search", "greedy_bitflip", "random_best_of_k",
+             "generate_channel", "trial_seeds")
+    for name in names:
+        def counting(*args, _original=getattr(harness, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+        monkeypatch.setattr(harness, name, counting)
+    plan = small_plan(methods=methods)
+    records = run_plan(plan)
+    cells = len(plan.n_values) * plan.trials
+    solver_of = {"das": "das_solve", "exhaustive": "exhaustive_search",
+                 "greedy": "greedy_bitflip", "random": "random_best_of_k"}
+    expected = {"generate_channel": cells, "trial_seeds": cells}
+    for method in methods:
+        expected[solver_of[method]] = cells
+    if "greedy" in methods:  # greedy starts from the random draw's winner
+        expected["random_best_of_k"] = cells
+    assert calls == expected
+    assert len(records) == cells * len(methods)
+
+
 def test_trial_seeds_distinct_and_stable():
     seen = set()
     for n in (1, 2, 50):
