@@ -31,7 +31,6 @@ from .harness import (
     write_trial_csv,
 )
 from .model import (
-    ChannelFormatError,
     ChannelParams,
     generate_channel,
     read_channel_csv,
@@ -224,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     except (PlanError, ExhaustiveLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PLAN
-    except (ChannelFormatError, ValueError) as exc:
+    except ValueError as exc:  # ChannelFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

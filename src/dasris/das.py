@@ -1,11 +1,11 @@
 """Globally optimal binary phase selection by folding and sorting angles.
 
 The received power is tx_power * |w_bar^T phi_bar|^2, where phi_bar =
-(conj(h_r) * g, conj(h_d)) is the homogenized composite vector and w_bar
-ranges over sign vectors whose last entry, the direct link's, is pinned to
-+1 after the fact. model.composite_phi returns phi_bar times an exact power
-of two, which moves no angle and no comparison between sign vectors, so the
-sweep below reads its output as it comes. Writing
+(conj(h_r) * g, conj(h_d)) is the homogenized composite vector and w_bar =
+(w, 1). The objective ignores a global sign, so the sweep returns w as the
+entries that share the direct-link entry's sign. model.composite_phi returns
+phi_bar times an exact power of two, which moves no angle and no comparison
+between sign vectors, so the sweep below reads its output as it comes. Writing
 phi_bar_n = |phi_bar_n| e^{j theta_n},
 
     |w_bar^T phi_bar| = max over psi of sum_n w_bar_n |phi_bar_n| cos(psi - theta_n)
@@ -76,15 +76,15 @@ def _fold(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _best_step_pattern(phi_bar: np.ndarray) -> np.ndarray:
-    """Best prefix-step sign vector for phi_bar, without materializing candidates.
+    """Optimal configuration for phi_bar, without materializing candidates.
 
     Candidate k's inner product with phi_bar is 2 * prefix_k - total, where
     prefix_k sums the first k+1 flip-corrected entries in sorted order, so
     one cumulative sum scores every candidate. Only the ends of runs of
     equal folded angles are scored (see the module docstring), which makes
     the winner independent of how the sort orders a run; the lowest such k
-    wins ties. Returns w_bar, the winning sign vector, negated where needed
-    so that its last entry is +1.
+    wins ties. Returns the configuration w itself, int64 +-1 of length N:
+    +1 where the winning sign vector agrees with its last (direct-link) entry.
     """
     folded, flip, v = _fold(phi_bar)
     order = np.argsort(folded)
@@ -104,22 +104,19 @@ def _best_step_pattern(phi_bar: np.ndarray) -> np.ndarray:
     plus = np.zeros(phi_bar.shape[0], dtype=bool)
     plus[order[: k + 1]] = True
     plus ^= flip
-    if not plus[-1]:  # the objective ignores a global sign; pin the last entry to +1
-        np.logical_not(plus, out=plus)
-    w_bar = plus.astype(np.int64)
-    w_bar *= 2
-    w_bar -= 1
-    return w_bar
+    w = (plus[:-1] == plus[-1]).astype(np.int64)
+    w *= 2
+    w -= 1
+    return w
 
 
 def das_solve(ch: ChannelRealization) -> DasSolution:
     """Find the received-power-maximizing binary configuration.
 
-    Composes the composite-vector reduction, angle folding, sorting, and
-    candidate scoring; O(N log N) total. The returned power is exact for the
+    Composes the composite-vector reduction and the sweep, which returns the
+    configuration; O(N log N) total. The returned power is exact for the
     returned configuration (it is re-evaluated against the channel), and a
     power that overflows a float raises ValueError.
     """
-    w_bar = _best_step_pattern(composite_phi(ch))
-    config = PhaseConfig(w=w_bar[:-1])
+    config = PhaseConfig(w=_best_step_pattern(composite_phi(ch)))
     return DasSolution(config=config, power=received_power(ch, config))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -56,8 +57,10 @@ class PlanError(ValueError):
 class ExperimentPlan:
     """What to run: surface sizes, trial count, seeding, and methods.
 
-    The greedy method starts from the winner of the same random draw the
-    random method reports, so greedy dominates random trial by trial.
+    A plan checks itself when built: __post_init__ raises PlanError on any
+    broken rule, so no invalid plan reaches run_plan. The greedy method
+    starts from the winner of the same random draw the random method
+    reports, so greedy dominates random trial by trial.
     """
 
     n_values: tuple[int, ...]
@@ -67,8 +70,34 @@ class ExperimentPlan:
     channel_params: ChannelParams = field(default_factory=ChannelParams)
 
     def __post_init__(self):
-        object.__setattr__(self, "n_values", tuple(int(v) for v in self.n_values))
+        try:  # operator.index takes ints and numpy integers, not 4.7 or 2.0
+            object.__setattr__(self, "n_values", tuple(map(operator.index, self.n_values)))
+            object.__setattr__(self, "trials", operator.index(self.trials))
+            object.__setattr__(self, "base_seed", operator.index(self.base_seed))
+        except TypeError as exc:
+            raise PlanError(f"sizes, trials and base_seed must be integers: {exc}") from None
         object.__setattr__(self, "methods", tuple(self.methods))
+        if not self.n_values:
+            raise PlanError("plan needs at least one surface size")
+        if any(n < 1 for n in self.n_values):
+            raise PlanError("surface sizes must be >= 1")
+        if len(set(self.n_values)) != len(self.n_values):
+            raise PlanError("surface sizes must not repeat")
+        if self.trials < 1:
+            raise PlanError("trials must be >= 1")
+        if self.base_seed < 0:
+            raise PlanError("base_seed must be >= 0")
+        if not self.methods:
+            raise PlanError("plan needs at least one method")
+        unknown = [m for m in self.methods if m not in METHODS]
+        if unknown:
+            raise PlanError(f"unknown methods {unknown}; choose from {', '.join(METHODS)}")
+        if len(set(self.methods)) != len(self.methods):
+            raise PlanError("methods must not repeat")
+        too_big = [n for n in self.n_values if n > EXHAUSTIVE_LIMIT]
+        if "exhaustive" in self.methods and too_big:
+            raise PlanError(f"exhaustive search is capped at n={EXHAUSTIVE_LIMIT}; "
+                            f"plan asks for n={too_big}")
 
 
 @dataclass(frozen=True)
@@ -91,32 +120,6 @@ class AggregateRow:
     optimality_rate: float
 
 
-def validate_plan(plan: ExperimentPlan) -> None:
-    """Reject malformed plans; called before any channel is generated."""
-    if not plan.n_values:
-        raise PlanError("plan needs at least one surface size")
-    if any(n < 1 for n in plan.n_values):
-        raise PlanError("surface sizes must be >= 1")
-    if plan.trials < 1:
-        raise PlanError("trials must be >= 1")
-    if plan.base_seed < 0:
-        raise PlanError("base_seed must be >= 0")
-    if not plan.methods:
-        raise PlanError("plan needs at least one method")
-    unknown = [m for m in plan.methods if m not in METHODS]
-    if unknown:
-        raise PlanError(f"unknown methods {unknown}; choose from {', '.join(METHODS)}")
-    if len(set(plan.methods)) != len(plan.methods):
-        raise PlanError("methods must not repeat")
-    if "exhaustive" in plan.methods:
-        too_big = [n for n in plan.n_values if n > EXHAUSTIVE_LIMIT]
-        if too_big:
-            raise PlanError(
-                f"exhaustive search is capped at n={EXHAUSTIVE_LIMIT}; "
-                f"plan asks for n={too_big}"
-            )
-
-
 def trial_seeds(base_seed: int, n: int, trial: int) -> tuple[int, int]:
     """Derive (channel seed, sampling seed) for one trial.
 
@@ -137,7 +140,6 @@ def run_plan(plan: ExperimentPlan) -> list[TrialRecord]:
     random is requested the random draw runs once, before any method.
     Powers and SNRs are deterministic given the plan; wall times are not.
     """
-    validate_plan(plan)
     noise = plan.channel_params.noise_power
     methods = [m for m in METHODS if m in plan.methods]
     draws = not _DRAW_USERS.isdisjoint(plan.methods)
@@ -160,8 +162,8 @@ def aggregate(records: list[TrialRecord]) -> list[AggregateRow]:
 
     mean_snr_db averages the per-trial dB values. optimality_rate is the
     fraction of trials whose power matches the exhaustive power for the same
-    (n, trial) within 1e-9 relative; it is 1.0 for exhaustive itself and NaN
-    when no exhaustive record exists for that n.
+    (n, trial) within ORACLE_REL_TOL relative or ORACLE_ABS_TOL absolute
+    (math.isclose); 1.0 for exhaustive itself, NaN with no exhaustive record.
     """
     oracle = {(rec.n, rec.trial): rec.power for rec in records if rec.method == "exhaustive"}
     groups: dict[tuple[int, str], list[TrialRecord]] = {}

@@ -180,6 +180,20 @@ def test_bench_unknown_method(tmp_path, capsys):
     assert code == 4
 
 
+def test_compare_rejects_repeated_sizes(capsys):
+    assert main(["compare", "--n", "4,4", "--trials", "3"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "repeat" in captured.err
+
+
+def test_bench_rejects_repeated_sizes_before_writing(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert main(["bench", "--n", "4,4", "--trials", "3", "--out", str(out)]) == 4
+    assert capsys.readouterr().out == ""
+    assert not (out / "trials.csv").exists()
+
+
 def test_bench_unwritable_out(capsys):
     code = main(["bench", "--n", "4", "--trials", "1",
                  "--out", "/proc/definitely/not/writable"])

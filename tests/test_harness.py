@@ -15,7 +15,6 @@ from dasris.harness import (
     aggregate,
     run_plan,
     trial_seeds,
-    validate_plan,
     write_aggregate_csv,
     write_trial_csv,
 )
@@ -29,28 +28,49 @@ def small_plan(**overrides):
     return ExperimentPlan(**base)
 
 
-def test_validate_plan_rejects_bad_inputs():
+def test_plan_rejects_bad_inputs():
     with pytest.raises(PlanError):
-        validate_plan(small_plan(n_values=()))
+        small_plan(n_values=())
     with pytest.raises(PlanError):
-        validate_plan(small_plan(n_values=(0,)))
+        small_plan(n_values=(0,))
     with pytest.raises(PlanError):
-        validate_plan(small_plan(trials=0))
+        small_plan(trials=0)
     with pytest.raises(PlanError):
-        validate_plan(small_plan(methods=()))
+        small_plan(methods=())
     with pytest.raises(PlanError):
-        validate_plan(small_plan(methods=("das", "das")))
+        small_plan(methods=("das", "das"))
     with pytest.raises(PlanError):
-        validate_plan(small_plan(methods=("sdp",)))
+        small_plan(methods=("sdp",))
     with pytest.raises(PlanError):
-        validate_plan(small_plan(base_seed=-1))
+        small_plan(base_seed=-1)
 
 
-def test_validate_plan_enforces_exhaustive_limit():
+@pytest.mark.parametrize("overrides", [
+    dict(n_values=(4, 4)),
+    dict(n_values=(4, 6, 4)),
+    dict(n_values=(4.7,)),
+    dict(n_values=(4.0,)),
+    dict(trials=2.5),
+    dict(base_seed=1.5),
+    dict(trials="3"),
+], ids=["repeat", "repeat-apart", "float-size", "integral-float-size", "float-trials",
+        "float-seed", "str-trials"])
+def test_plan_rejects_repeated_sizes_and_non_integers(overrides):
+    with pytest.raises(PlanError):
+        small_plan(**overrides)
+
+
+def test_plan_keeps_numpy_integers_as_ints():
+    plan = small_plan(n_values=np.array([4, 6]), trials=np.int64(3), base_seed=np.uint8(11))
+    assert plan == small_plan()
+    assert all(type(v) is int for v in (*plan.n_values, plan.trials, plan.base_seed))
+
+
+def test_plan_enforces_exhaustive_limit():
     with pytest.raises(PlanError) as err:
-        validate_plan(small_plan(n_values=(4, 21)))
+        small_plan(n_values=(4, 21))
     assert "20" in str(err.value)
-    validate_plan(small_plan(n_values=(4, 21), methods=("das",)))
+    small_plan(n_values=(4, 21), methods=("das",))
 
 
 def test_run_plan_rejects_before_work(monkeypatch):
