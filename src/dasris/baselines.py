@@ -10,6 +10,9 @@ import numpy as np
 from .model import ChannelRealization, PhaseConfig, composite_phi, received_power
 
 EXHAUSTIVE_LIMIT = 20
+# bytes of one grid chunk of exhaustive_search, per real and imaginary part:
+# small enough to stay in cache while it is squared, summed and scanned
+_CHUNK_BYTES = 1 << 18
 
 
 class ExhaustiveLimitError(ValueError):
@@ -44,9 +47,11 @@ def exhaustive_search(ch: ChannelRealization) -> BaselineResult:
     element n is -1; ties keep the lowest counter value. One table holds the
     signed sums of the low floor(N/2) elements plus conj(h_d), another those
     of the high elements; in their outer sum, high half on the rows, the
-    row-major index of each amplitude is its counter, so the first argmax is
-    the lowest. The homogenized coordinate is pinned to +1 throughout.
-    Refuses to run for N above EXHAUSTIVE_LIMIT.
+    row-major index of each amplitude is its counter. The grid is built and
+    scanned in chunks of rows, in counter order; a chunk's first maximum
+    replaces the best so far only when strictly larger, so the lowest counter
+    wins. The homogenized coordinate is pinned to +1 throughout. Refuses to
+    run for N above EXHAUSTIVE_LIMIT.
     """
     n = ch.n
     if n > EXHAUSTIVE_LIMIT:
@@ -57,13 +62,24 @@ def exhaustive_search(ch: ChannelRealization) -> BaselineResult:
     half = n // 2
     low = _signed_sums(phi_bar[:half], phi_bar[-1])
     high = _signed_sums(phi_bar[half:-1], 0.0)
-    # real and imaginary grids squared in place: no complex 2^N grid
-    powers = np.add.outer(high.real, low.real)
-    imag = np.add.outer(high.imag, low.imag)
-    powers *= powers
-    imag *= imag
-    powers += imag
-    best_index = int(np.argmax(powers))
+    low_re, low_im = low.real.copy(), low.imag.copy()
+    high_re, high_im = high.real[:, None], high.imag[:, None]
+    rows = max(1, _CHUNK_BYTES // (8 * low.size))
+    # real and imaginary chunks squared in place: no complex grid
+    powers = np.empty((min(rows, high.size), low.size))
+    imag = np.empty_like(powers)
+    best_index, best_power = 0, -1.0
+    for start in range(0, high.size, rows):
+        p = powers[: high.size - start]
+        q = imag[: high.size - start]
+        np.add(high_re[start:start + rows], low_re, out=p)
+        np.add(high_im[start:start + rows], low_im, out=q)
+        p *= p
+        q *= q
+        p += q
+        j = int(p.argmax())
+        if p.flat[j] > best_power:  # strict: a tie keeps the earlier, lower counter
+            best_index, best_power = start * low.size + j, p.flat[j]
     w = 1 - 2 * ((best_index >> np.arange(n)) & 1)
     config = PhaseConfig(w=w)
     return BaselineResult(

@@ -38,6 +38,8 @@ import numpy as np
 from .model import (
     ChannelRealization,
     PhaseConfig,
+    _composite,
+    _power,
     composite_phi,
     received_power,
 )
@@ -54,7 +56,7 @@ class DasSolution:
 
 
 def _fold(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Folded angles, flip mask and flip-corrected entries of a 1-D z.
+    """Folded angles, flip mask and flip-corrected entries of z, entry by entry.
 
     An entry is negated when its real part is negative, which leaves every
     real part at or above zero, so one atan2 lands in [-pi/2, pi/2]. Taking
@@ -76,35 +78,44 @@ def _fold(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _best_step_pattern(phi_bar: np.ndarray) -> np.ndarray:
-    """Optimal configuration for phi_bar, without materializing candidates.
+    """Optimal configuration for each phi_bar along the last axis.
 
-    Candidate k's inner product with phi_bar is 2 * prefix_k - total, where
-    prefix_k sums the first k+1 flip-corrected entries in sorted order, so
-    one cumulative sum scores every candidate. Only the ends of runs of
+    phi_bar is one (N+1,) vector or a (T, N+1) block of them; every row is
+    solved on its own by the same sort and scan, and the result is (N,) or
+    (T, N). Candidate k's inner product with phi_bar is 2 * prefix_k - total,
+    where prefix_k sums the first k+1 flip-corrected entries in sorted order,
+    so one cumulative sum scores every candidate. Only the ends of runs of
     equal folded angles are scored (see the module docstring), which makes
     the winner independent of how the sort orders a run; the lowest such k
-    wins ties. Returns the configuration w itself, int64 +-1 of length N:
-    +1 where the winning sign vector agrees with its last (direct-link) entry.
+    wins ties. Returns the configuration w itself, int64 +-1: +1 where the
+    winning sign vector agrees with its last (direct-link) entry.
     """
     folded, flip, v = _fold(phi_bar)
-    order = np.argsort(folded)
-    # in place, and each N-wide buffer dropped once used, to keep the peak low
-    prefix = np.cumsum(v[order])
+    order = folded.argsort(-1)
+    starts = 0
+    if order.ndim > 1:
+        # flat positions: take() on the flattened block gathers faster than
+        # indexing a (T, N+1) array with two index arrays
+        starts = np.arange(0, order.size, order.shape[-1])
+        order += starts[:, None]
+    # in place, and each buffer dropped once used, to keep the peak low
+    prefix = v.take(order)
     del v
-    total = prefix[-1]
+    prefix.cumsum(-1, out=prefix)
+    total = prefix[..., -1:].copy()
     prefix *= 2.0
     prefix -= total
     scores = np.abs(prefix)
     del prefix
-    keys = folded[order]
+    keys = folded.take(order)
+    del order
     # a split followed by an equal key lies inside a run: never the winner
-    scores[:-1][keys[1:] == keys[:-1]] = -1.0
-    k = int(np.argmax(scores))
-    # +1 where the entry is in the winning prefix, unless its fold flipped it
-    plus = np.zeros(phi_bar.shape[0], dtype=bool)
-    plus[order[: k + 1]] = True
+    scores[..., :-1][keys[..., 1:] == keys[..., :-1]] = -1.0
+    # the winner k is a run end, so the winning prefix holds exactly the
+    # entries whose key is at most keys[k]: +1 there, unless the fold flipped it
+    plus = folded <= keys.take(starts + scores.argmax(-1))[..., None]
     plus ^= flip
-    w = (plus[:-1] == plus[-1]).astype(np.int64)
+    w = (plus[..., :-1] == plus[..., -1:]).astype(np.int64)
     w *= 2
     w -= 1
     return w
@@ -118,5 +129,21 @@ def das_solve(ch: ChannelRealization) -> DasSolution:
     returned configuration (it is re-evaluated against the channel), and a
     power that overflows a float raises ValueError.
     """
-    config = PhaseConfig(w=_best_step_pattern(composite_phi(ch)))
+    config = PhaseConfig._trusted(_best_step_pattern(composite_phi(ch)))
     return DasSolution(config=config, power=received_power(ch, config))
+
+
+def das_solve_block(
+    g: np.ndarray, h_r: np.ndarray, h_d: np.ndarray, tx_power: float
+) -> tuple[np.ndarray, list[float]]:
+    """das_solve for T channels at once, given as rows of blocks.
+
+    g and h_r are (T, N) and h_d is (T,), as model.draw_channels returns
+    them. One sweep over the (T, N+1) composite block solves every row;
+    returns the (T, N) int64 configurations and the T powers. Row t's
+    configuration and power are bit for bit those of das_solve on channel t
+    alone, and a row whose power overflows a float raises ValueError.
+    """
+    w = _best_step_pattern(_composite(g, h_r, h_d))
+    powers = [_power(hr, wg, d, tx_power) for hr, wg, d in zip(h_r, w * g, h_d.tolist())]
+    return w, powers

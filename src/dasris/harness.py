@@ -2,8 +2,12 @@
 
 Every (n, trial) pair deterministically derives its channel from the plan's
 base seed, and every requested method consumes the same realization, so
-per-method powers are directly comparable row by row. Wall times cover the
-solver call only; channel generation and bookkeeping are excluded.
+per-method powers are directly comparable row by row. A size's trials run
+as one cell: their channels are drawn as one block, and das solves the whole
+block in one call, so a das record's wall time is that call's time over the
+cell's trial count. The other methods run, and are timed, trial by trial.
+Wall times cover solver calls only; channel generation, seeding and
+bookkeeping are excluded.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import EXHAUSTIVE_LIMIT, exhaustive_search, greedy_bitflip, random_best_of_k
-from .das import das_solve
-from .model import ChannelParams, _fmt, generate_channel, snr_db
+from .das import das_solve_block
+from .model import ChannelParams, ChannelRealization, _fmt, draw_channels, snr_db
 
 TRIAL_CSV_HEADER = ("n", "trial", "method", "power", "snr_db", "wall_time_s")
 AGGREGATE_CSV_HEADER = (
@@ -28,6 +32,10 @@ AGGREGATE_CSV_HEADER = (
 ORACLE_REL_TOL = 1e-9
 ORACLE_ABS_TOL = 1e-12
 RANDOM_K = 16  # draws per trial for the random method, and greedy's start
+# a cell of size n holds CELL_ELEMENTS // n trials (at least one), so each of
+# its channel blocks stays near 256 KB, in cache while das sweeps it, and
+# memory stays bounded however many trials the plan asks for
+CELL_ELEMENTS = 1 << 14
 
 
 def _timed(solve, *args):
@@ -37,14 +45,28 @@ def _timed(solve, *args):
     return result, time.perf_counter() - t0
 
 
-# name -> run(channel, draw) giving (result, seconds); draw is the trial's timed
-# random draw. Key order is record order. Each solver is looked up as a module
-# global when called, so a rebound name (a test double, a tracer) is what runs.
+def _das_cell(blocks):
+    (_, powers), seconds = _timed(das_solve_block, *blocks)
+    return [(power, seconds / len(powers)) for power in powers]
+
+
+def _powers(timed_results):
+    return [(result.power, seconds) for result, seconds in timed_results]
+
+
+# name -> run(blocks, channels, draws) giving one (power, seconds) per trial of
+# a cell. blocks is (g, h_r, h_d, tx_power) with the cell's trials as rows;
+# when a method other than das runs, channels holds the same trials one by
+# one and draws each trial's timed random draw. Key order is record order.
+# Each solver is looked up as a module global when called, so a rebound name
+# (a test double, a tracer) is what runs.
 METHODS = {
-    "das": lambda ch, draw: _timed(das_solve, ch),
-    "exhaustive": lambda ch, draw: _timed(exhaustive_search, ch),
-    "greedy": lambda ch, draw: _timed(greedy_bitflip, ch, draw[0].config),
-    "random": lambda ch, draw: draw,
+    "das": lambda blocks, channels, draws: _das_cell(blocks),
+    "exhaustive": lambda blocks, channels, draws: _powers(
+        _timed(exhaustive_search, ch) for ch in channels),
+    "greedy": lambda blocks, channels, draws: _powers(
+        _timed(greedy_bitflip, ch, draw[0].config) for ch, draw in zip(channels, draws)),
+    "random": lambda blocks, channels, draws: _powers(draws),
 }
 _DRAW_USERS = frozenset(("greedy", "random"))
 
@@ -133,27 +155,43 @@ def trial_seeds(base_seed: int, n: int, trial: int) -> tuple[int, int]:
 
 
 def run_plan(plan: ExperimentPlan) -> list[TrialRecord]:
-    """Run every (n, trial, method) cell and return records in that order.
+    """Run every (n, trial, method) combination and return records in that order.
 
-    On each trial's shared channel realization the records come in the
-    table order of METHODS: das, exhaustive, greedy, random. When greedy or
-    random is requested the random draw runs once, before any method.
-    Powers and SNRs are deterministic given the plan; wall times are not.
+    Each size runs its trials in cells of CELL_ELEMENTS // n trials (at
+    least one). A cell runs, in this order: the trial seeds, one block draw
+    of its channels, each trial's random draw when greedy or random is
+    requested, one das_solve_block call over the whole block, then
+    exhaustive and greedy trial by trial. Within a trial the records come in
+    the table order of METHODS: das, exhaustive, greedy, random. Powers and
+    SNRs are deterministic given the plan, and do not depend on how trials
+    are split into cells; wall times are not.
     """
-    noise = plan.channel_params.noise_power
+    params = plan.channel_params
     methods = [m for m in METHODS if m in plan.methods]
+    needs_channels = any(m != "das" for m in methods)
     draws = not _DRAW_USERS.isdisjoint(plan.methods)
     records: list[TrialRecord] = []
     for n in plan.n_values:
-        for t in range(plan.trials):
-            chan_seed, sample_seed = trial_seeds(plan.base_seed, n, t)
-            ch = generate_channel(n, chan_seed, plan.channel_params)
-            draw = _timed(random_best_of_k, ch, RANDOM_K, sample_seed) if draws else None
-            for method in methods:
-                result, elapsed = METHODS[method](ch, draw)
-                power = result.power
-                records.append(TrialRecord(n=n, trial=t, method=method, power=power,
-                                           snr_db=snr_db(power, noise), wall_time=elapsed))
+        step = max(1, CELL_ELEMENTS // n)
+        for first in range(0, plan.trials, step):
+            trials = range(first, min(first + step, plan.trials))
+            seeds = [trial_seeds(plan.base_seed, n, t) for t in trials]
+            g, h_r, h_d = draw_channels(n, [chan_seed for chan_seed, _ in seeds], params)
+            channels = [
+                ChannelRealization(g=g[i], h_r=h_r[i], h_d=h_d[i],
+                                   noise_power=params.noise_power, tx_power=params.tx_power)
+                for i in range(len(trials))
+            ] if needs_channels else []
+            cell_draws = [_timed(random_best_of_k, ch, RANDOM_K, sample_seed)
+                          for ch, (_, sample_seed) in zip(channels, seeds)] if draws else []
+            blocks = (g, h_r, h_d, params.tx_power)
+            columns = [METHODS[m](blocks, channels, cell_draws) for m in methods]
+            for i, t in enumerate(trials):
+                for method, column in zip(methods, columns):
+                    power, seconds = column[i]
+                    records.append(TrialRecord(
+                        n=n, trial=t, method=method, power=power,
+                        snr_db=snr_db(power, params.noise_power), wall_time=seconds))
     return records
 
 

@@ -120,6 +120,13 @@ class PhaseConfig:
             raise ValueError("w entries must be +1 or -1")
         object.__setattr__(self, "w", w.astype(np.int64))
 
+    @classmethod
+    def _trusted(cls, w: np.ndarray) -> "PhaseConfig":
+        """Wrap an int64 +-1 vector that the library built as such: no check, no copy."""
+        config = object.__new__(cls)
+        object.__setattr__(config, "w", w)
+        return config
+
     @property
     def n(self) -> int:
         return int(self.w.shape[0])
@@ -127,6 +134,32 @@ class PhaseConfig:
     def phases(self) -> np.ndarray:
         """Phase angles in radians: +1 -> 0, -1 -> pi."""
         return np.where(self.w > 0, 0.0, np.pi)
+
+
+def _composite(g: np.ndarray, h_r: np.ndarray, h_d) -> np.ndarray:
+    """phi_bar = (conj(h_r) * g, conj(h_d)) along the last axis, each row rescaled.
+
+    g and h_r are (..., N) and h_d is (...); the result is (..., N+1). Each
+    row is multiplied by its own power of two, chosen so that the row's
+    largest real or imaginary part lies in [0.5, 1); an all-zero row is left
+    unchanged. Raises ValueError when a product conj(h_r) * g overflows.
+    """
+    phi_bar = np.empty(g.shape[:-1] + (g.shape[-1] + 1,), dtype=complex)
+    # written straight into phi_bar, so phi needs no copy of its own; an
+    # overflow shows as a non-finite top below, not as a numpy warning
+    # not in place: numpy may take another complex-multiply loop then, whose
+    # products can differ in the last bit
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(np.conj(h_r), g, out=phi_bar[..., :-1])
+    phi_bar[..., -1] = np.conj(h_d)
+    parts = phi_bar.view(np.float64)
+    top = np.abs(parts).max(-1, keepdims=True)
+    if not top.max() < math.inf:  # written so that NaN fails too
+        raise ValueError("composite coefficient conj(h_r) * g overflows a float")
+    # ldexp, not a multiply by 2.0**-e, which overflows for a subnormal top;
+    # frexp(0) gives exponent 0, so an all-zero row keeps its values
+    np.ldexp(parts, -np.frexp(top)[1], out=parts)
+    return phi_bar
 
 
 def composite_phi(ch: ChannelRealization) -> np.ndarray:
@@ -139,20 +172,22 @@ def composite_phi(ch: ChannelRealization) -> np.ndarray:
     all-zero vector is returned unchanged. Raises ValueError when a product
     conj(h_r) * g overflows a float, as it can for finite g and h_r.
     """
-    phi_bar = np.empty(ch.n + 1, dtype=complex)
-    # written straight into phi_bar, so phi needs no copy of its own; an
-    # overflow shows as a non-finite top below, not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(np.conj(ch.h_r), ch.g, out=phi_bar[:-1])
-    phi_bar[-1] = np.conj(ch.h_d)
-    parts = phi_bar.view(np.float64)
-    top = max(float(parts.max()), -float(parts.min()))
-    if not math.isfinite(top):
-        raise ValueError("composite coefficient conj(h_r) * g overflows a float")
-    if top > 0.0:
-        # ldexp, not a multiply by 2.0**-e, which overflows for a subnormal top
-        np.ldexp(parts, -math.frexp(top)[1], out=parts)
-    return phi_bar
+    return _composite(ch.g, ch.h_r, ch.h_d)
+
+
+def _power(h_r: np.ndarray, wg: np.ndarray, h_d: complex, tx_power: float) -> float:
+    """tx_power * |h_r^H wg + conj(h_d)|^2 for one channel, wg = w * g.
+
+    The one power formula: received_power and das_solve_block both call it,
+    so a row of a block gets the same bits as its channel on its own. Raises
+    ValueError when the power overflows a float.
+    """
+    amp = complex(np.vdot(h_r, wg)) + h_d.conjugate()
+    # Python floats: an overflow gives inf rather than a numpy warning
+    power = (amp.real * amp.real + amp.imag * amp.imag) * tx_power
+    if not math.isfinite(power):
+        raise ValueError(f"received power overflows a float ({power})")
+    return power
 
 
 def received_power(ch: ChannelRealization, config: PhaseConfig) -> float:
@@ -165,12 +200,7 @@ def received_power(ch: ChannelRealization, config: PhaseConfig) -> float:
         raise ValueError(
             f"config has {config.n} elements but channel has {ch.n}"
         )
-    amp = complex(np.vdot(ch.h_r, config.w * ch.g)) + ch.h_d.conjugate()
-    # Python floats: an overflow gives inf rather than a numpy warning
-    power = (amp.real * amp.real + amp.imag * amp.imag) * ch.tx_power
-    if not math.isfinite(power):
-        raise ValueError(f"received power overflows a float ({power})")
-    return power
+    return _power(ch.h_r, config.w * ch.g, ch.h_d, ch.tx_power)
 
 
 def snr_db(power: float, noise_power: float) -> float:
@@ -184,18 +214,50 @@ def snr_db(power: float, noise_power: float) -> float:
     return 10.0 * math.log10(power / noise_power)
 
 
-def _complex_gaussian(rng: np.random.Generator, size: int, variance: float) -> np.ndarray:
-    scale = math.sqrt(variance / 2.0)
-    return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * scale
+def _complex_gaussian(re: np.ndarray, im: np.ndarray, variance: float) -> np.ndarray:
+    # (re + 1j * im) * scale, in place on one buffer: the same bits, one allocation
+    z = 1j * im
+    z += re
+    z *= math.sqrt(variance / 2.0)
+    return z
+
+
+def draw_channels(
+    n: int, seeds, params: ChannelParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw one i.i.d. Rayleigh-faded channel per seed, as rows of blocks.
+
+    Returns g and h_r as (T, n) blocks and h_d as a (T,) block, T = len(seeds).
+    Row t comes from np.random.default_rng(seeds[t]) alone, drawn in the fixed
+    order g, h_r, h_d (real parts, then imaginary parts), so a row does not
+    depend on the other seeds. Each entry is circularly-symmetric complex
+    Gaussian with the per-entry variance from params; h_d is exactly 0 when
+    params.los is false. The block is checked once: every entry is finite.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    normals = np.empty((len(seeds), 4 * n + 2 * params.los))
+    for row, seed in zip(normals, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
+    g = _complex_gaussian(normals[:, :n], normals[:, n:2 * n], params.beta_g)
+    h_r = _complex_gaussian(normals[:, 2 * n:3 * n], normals[:, 3 * n:4 * n], params.beta_r)
+    if params.los:
+        h_d = _complex_gaussian(normals[:, -2], normals[:, -1], params.beta_d)
+    else:
+        h_d = np.zeros(len(seeds), dtype=complex)
+    if not (np.isfinite(g).all() and np.isfinite(h_r).all() and np.isfinite(h_d).all()):
+        raise ValueError("drawn channel coefficients must be finite")
+    return g, h_r, h_d
 
 
 def generate_channel(n: int, seed: int, params: ChannelParams | None = None) -> ChannelRealization:
     """Draw an i.i.d. Rayleigh-faded channel realization.
 
-    Deterministic for a given (n, seed, params): entries are drawn from
-    np.random.default_rng(seed) in the fixed order g, h_r, h_d. Each entry is
-    circularly-symmetric complex Gaussian with the per-entry variance from
-    params; h_d is exactly 0 when params.los is false.
+    Deterministic for a given (n, seed, params): the one-row case of
+    draw_channels, so entries are drawn from np.random.default_rng(seed) in
+    the fixed order g, h_r, h_d. Each entry is circularly-symmetric complex
+    Gaussian with the per-entry variance from params; h_d is exactly 0 when
+    params.los is false.
 
     Args:
         n: number of surface elements, must be >= 1.
@@ -205,21 +267,13 @@ def generate_channel(n: int, seed: int, params: ChannelParams | None = None) -> 
     Returns:
         A ChannelRealization with noise_power and tx_power copied from params.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if params is None:
         params = ChannelParams()
-    rng = np.random.default_rng(seed)
-    g = _complex_gaussian(rng, n, params.beta_g)
-    h_r = _complex_gaussian(rng, n, params.beta_r)
-    if params.los:
-        h_d = complex(_complex_gaussian(rng, 1, params.beta_d)[0])
-    else:
-        h_d = 0.0 + 0.0j
+    g, h_r, h_d = draw_channels(n, (seed,), params)
     return ChannelRealization(
-        g=g,
-        h_r=h_r,
-        h_d=h_d,
+        g=g[0],
+        h_r=h_r[0],
+        h_d=h_d[0],
         noise_power=params.noise_power,
         tx_power=params.tx_power,
     )

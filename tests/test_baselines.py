@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import dasris.baselines as baselines
 from dasris.baselines import (
     EXHAUSTIVE_LIMIT,
     BaselineResult,
@@ -77,6 +78,34 @@ def test_exhaustive_ties_keep_the_first_counter_of_a_plain_loop():
                 res = exhaustive_search(make_channel(g, [1] * n, h_d))
                 assert np.array_equal(res.config.w, best_w), (n, h_d, g)
                 assert res.power == best_power
+
+
+@pytest.mark.parametrize("n", [16, 17, 18])
+def test_exhaustive_ties_across_grid_chunks_keep_the_lowest_counter(n):
+    # the grid is scanned in chunks of rows; exact ties between chunks (with
+    # h_d = 0 a configuration and its negation tie, one in each half of the
+    # counters) must still go to the lowest counter of a full enumeration
+    rows_per_chunk = baselines._CHUNK_BYTES // (8 << (n // 2))
+    assert (1 << (n - n // 2)) > rows_per_chunk  # more than one chunk
+    rng = np.random.default_rng(n)
+    grid = np.array([0, 1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
+    counters = np.arange(1 << n)
+    for h_d in (0, 1 + 1j, 2):
+        for _ in range(4):
+            g = grid[rng.integers(0, len(grid), size=n)]
+            # Gaussian integers: every power is an exact integer
+            amp_re = np.full(1 << n, int(complex(h_d).real))
+            amp_im = np.full(1 << n, -int(complex(h_d).imag))  # conj(h_d)
+            for k in range(n):
+                sign = 1 - 2 * ((counters >> k) & 1)
+                amp_re += sign * int(g[k].real)
+                amp_im += sign * int(g[k].imag)
+            powers = amp_re * amp_re + amp_im * amp_im
+            best = int(np.argmax(powers))
+            res = exhaustive_search(make_channel(g, np.ones(n), h_d))
+            assert np.array_equal(res.config.w, 1 - 2 * ((best >> np.arange(n)) & 1))
+            assert res.power == powers[best]
+            assert res.evaluations == 1 << n
 
 
 def test_exhaustive_refuses_above_limit():

@@ -194,6 +194,17 @@ def test_bench_rejects_repeated_sizes_before_writing(tmp_path, capsys):
     assert not (out / "trials.csv").exists()
 
 
+def test_bench_power_overflow_is_input_error_before_writing(tmp_path, capsys):
+    out = tmp_path / "r"
+    code = main(["bench", "--n", "16,64", "--trials", "3", "--beta-g", "1e300",
+                 "--beta-r", "1e300", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overflow" in captured.err
+    assert not (out / "trials.csv").exists()
+
+
 def test_bench_unwritable_out(capsys):
     code = main(["bench", "--n", "4", "--trials", "1",
                  "--out", "/proc/definitely/not/writable"])

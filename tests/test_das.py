@@ -15,12 +15,14 @@ from candidate_route import (
     sort_folded,
 )
 from dasris.baselines import continuous_upper_bound, exhaustive_search
-from dasris.das import das_solve
+from dasris.das import das_solve, das_solve_block
 from dasris.model import (
     ChannelParams,
     ChannelRealization,
     PhaseConfig,
+    _composite,
     composite_phi,
+    draw_channels,
     generate_channel,
     received_power,
 )
@@ -446,3 +448,58 @@ def test_das_solve_ignores_element_order_on_ties():
                     assert np.array_equal(other.config.w, sol.config.w[perm])
                     checked += 1
     assert checked >= 300
+
+
+def assert_block_rows_match_das_solve(g, h_r, h_d, tx_power=1.0):
+    w, powers = das_solve_block(g, h_r, h_d, tx_power)
+    assert w.shape == g.shape and w.dtype == np.int64 and len(powers) == g.shape[0]
+    phi_block = _composite(g, h_r, h_d)
+    for t in range(g.shape[0]):
+        ch = ChannelRealization(g=g[t], h_r=h_r[t], h_d=h_d[t], noise_power=1.0,
+                                tx_power=tx_power)
+        assert phi_block[t].tobytes() == composite_phi(ch).tobytes(), t
+        sol = das_solve(ch)
+        assert w[t].tobytes() == sol.config.w.tobytes(), t
+        assert type(powers[t]) is float and powers[t] == sol.power, t
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 17, 64, 256])
+@pytest.mark.parametrize("los", [True, False])
+def test_das_solve_block_rows_are_das_solve_bit_for_bit(n, los):
+    params = ChannelParams(los=los, beta_g=2.0, tx_power=3.0)
+    g, h_r, h_d = draw_channels(n, list(range(100, 140)), params)
+    assert_block_rows_match_das_solve(g, h_r, h_d, tx_power=3.0)
+
+
+def test_das_solve_block_on_tie_heavy_zero_and_wide_range_rows():
+    # pi/4-grid rows with exact duplicates and zeros, all-zero rows, and rows
+    # whose scales differ by 2^1000 inside one block: each row is rescaled
+    # by its own power of two and solved as das_solve solves it alone
+    rng = np.random.default_rng(31337)
+    for n in (1, 2, 5, 12, 40):
+        rows = 24
+        g = TIE_MAGNITUDES[rng.integers(0, 3, (rows, n))] * TIE_GRID[rng.integers(0, 8, (rows, n))]
+        h_r = np.ones((rows, n), dtype=complex)
+        h_r[::3] = TIE_GRID[rng.integers(0, 8, (len(h_r[::3]), n))]
+        h_d = np.array(TIE_DIRECT_LINKS * (rows // len(TIE_DIRECT_LINKS)), dtype=complex)
+        g[0] = 0
+        h_d[0] = 0
+        g[1] = 0
+        scale = np.ldexp(1.0, rng.choice([-500, 0, 500], rows))
+        g *= scale[:, None]
+        h_d *= scale
+        assert_block_rows_match_das_solve(g, h_r, h_d)
+        random_g = (rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n)))
+        random_g *= scale[:, None]
+        assert_block_rows_match_das_solve(random_g, h_r, h_d)
+
+
+def test_das_solve_block_rejects_an_overflowing_row():
+    g, h_r, h_d = draw_channels(8, [1, 2, 3], ChannelParams())
+    h_d[1] = 1e160  # the row's power overflows a float
+    with pytest.raises(ValueError, match="overflow"):
+        das_solve_block(g, h_r, h_d, 1.0)
+    g, h_r, h_d = draw_channels(8, [1, 2, 3], ChannelParams())
+    g[2, 0] = h_r[2, 0] = 1e200  # the row's composite entry overflows a float
+    with pytest.raises(ValueError, match="overflow"):
+        das_solve_block(g, h_r, h_d, 1.0)

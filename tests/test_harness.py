@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import math
 
@@ -79,7 +80,7 @@ def test_run_plan_rejects_before_work(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("channel generated despite invalid plan")
 
-    monkeypatch.setattr(harness, "generate_channel", boom)
+    monkeypatch.setattr(harness, "draw_channels", boom)
     with pytest.raises(PlanError):
         run_plan(small_plan(trials=0))
 
@@ -90,16 +91,18 @@ def test_run_plan_rejects_before_work(monkeypatch):
     ("random",),
     ("das", "exhaustive"),
     ("random", "greedy"),
+    ("das",),
 ])
 def test_run_plan_calls_each_solver_through_the_module_globals(monkeypatch, methods):
     # a tracer times the harness by rebinding these names, so each requested
-    # solver must be looked up there on every trial, and the random draw
-    # must run once per trial however many methods read it
+    # solver must be looked up there: das once per size over the whole block
+    # of drawn channels, the baselines and the seeding once per trial, and the
+    # random draw once per trial however many methods read it
     import dasris.harness as harness
 
     calls = {}
-    names = ("das_solve", "exhaustive_search", "greedy_bitflip", "random_best_of_k",
-             "generate_channel", "trial_seeds")
+    names = ("das_solve_block", "exhaustive_search", "greedy_bitflip", "random_best_of_k",
+             "draw_channels", "trial_seeds")
     for name in names:
         def counting(*args, _original=getattr(harness, name), _name=name):
             calls[_name] = calls.get(_name, 0) + 1
@@ -107,16 +110,42 @@ def test_run_plan_calls_each_solver_through_the_module_globals(monkeypatch, meth
         monkeypatch.setattr(harness, name, counting)
     plan = small_plan(methods=methods)
     records = run_plan(plan)
-    cells = len(plan.n_values) * plan.trials
-    solver_of = {"das": "das_solve", "exhaustive": "exhaustive_search",
-                 "greedy": "greedy_bitflip", "random": "random_best_of_k"}
-    expected = {"generate_channel": cells, "trial_seeds": cells}
+    sizes = len(plan.n_values)
+    cells = sizes * plan.trials
+    per_trial = {"exhaustive": "exhaustive_search", "greedy": "greedy_bitflip",
+                 "random": "random_best_of_k"}
+    expected = {"draw_channels": sizes, "trial_seeds": cells}
+    if "das" in methods:
+        expected["das_solve_block"] = sizes
     for method in methods:
-        expected[solver_of[method]] = cells
+        if method in per_trial:
+            expected[per_trial[method]] = cells
     if "greedy" in methods:  # greedy starts from the random draw's winner
         expected["random_best_of_k"] = cells
     assert calls == expected
     assert len(records) == cells * len(methods)
+
+
+def test_run_plan_splits_large_sizes_into_cells(monkeypatch):
+    # a cell holds at most CELL_ELEMENTS // n trials, and how a size's trials
+    # are cut into cells changes no power
+    import dasris.harness as harness
+
+    plan = small_plan(n_values=(4, 6, 9), trials=7)
+    whole = run_plan(plan)
+    blocks = []
+    original = harness.das_solve_block
+
+    def recording(g, *args):
+        blocks.append(g.shape)
+        return original(g, *args)
+
+    monkeypatch.setattr(harness, "das_solve_block", recording)
+    monkeypatch.setattr(harness, "CELL_ELEMENTS", 18)
+    split = run_plan(plan)
+    assert blocks == [(4, 4), (3, 4), (3, 6), (3, 6), (1, 6), (2, 9), (2, 9), (2, 9), (1, 9)]
+    assert [(r.n, r.trial, r.method, r.power, r.snr_db) for r in split] == \
+        [(r.n, r.trial, r.method, r.power, r.snr_db) for r in whole]
 
 
 def test_trial_seeds_distinct_and_stable():
@@ -150,6 +179,25 @@ def test_run_plan_methods_share_channels():
         exh = cell["exhaustive"]
         assert math.isclose(das.power, exh.power, rel_tol=1e-9, abs_tol=1e-12)
         assert cell["random"].power <= cell["greedy"].power <= das.power
+
+
+# sha256 of run_plan's (n, trial, method, power, snr_db) records below, taken
+# from the per-trial harness that solved and drew one channel at a time; a
+# change to the draws, the solvers or the record order shows here
+RECORDS_SHA256 = "ff1bf6bbc65a1b6ffcc7d9c03e68dcd5dd4bc7c68654899928a4a1315ce12e2e"
+
+
+def test_run_plan_records_are_pinned():
+    digest = hashlib.sha256()
+    for los in (True, False):
+        for base_seed in (0, 7, 123):
+            plan = ExperimentPlan(n_values=(1, 2, 5, 9, 14, 20), trials=3, base_seed=base_seed,
+                                  methods=("das", "exhaustive", "greedy", "random"),
+                                  channel_params=ChannelParams(los=los))
+            for r in run_plan(plan):
+                digest.update(repr((r.n, r.trial, r.method, float(r.power),
+                                    float(r.snr_db))).encode())
+    assert digest.hexdigest() == RECORDS_SHA256
 
 
 def test_run_plan_powers_deterministic():

@@ -13,6 +13,7 @@ from dasris.model import (
     ChannelRealization,
     PhaseConfig,
     composite_phi,
+    draw_channels,
     generate_channel,
     read_channel_csv,
     received_power,
@@ -206,6 +207,42 @@ def test_generate_channel_entry_variance():
     mean_r = np.mean(np.abs(ch.h_r) ** 2)
     assert 0.95 < mean_g / 2.0 < 1.05
     assert 0.95 < mean_r / 0.5 < 1.05
+
+
+def reference_channel(n, seed, params):
+    """One channel drawn entry group by entry group, as generate_channel documents."""
+    rng = np.random.default_rng(seed)
+
+    def gaussian(size, variance):
+        return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) \
+            * math.sqrt(variance / 2.0)
+
+    g = gaussian(n, params.beta_g)
+    h_r = gaussian(n, params.beta_r)
+    h_d = complex(gaussian(1, params.beta_d)[0]) if params.los else 0j
+    return g, h_r, h_d
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 256])
+@pytest.mark.parametrize("params", [
+    ChannelParams(),
+    ChannelParams(los=False),
+    ChannelParams(beta_g=3.5, beta_r=0.02, beta_d=7.0, noise_power=0.5, tx_power=2.0),
+    ChannelParams(beta_g=0.25, beta_r=1e-6, los=False),
+    ChannelParams(beta_g=0.0, beta_d=0.0),
+], ids=["default", "no-los", "betas-los", "betas-no-los", "zero-variances"])
+def test_draw_channels_rows_are_generate_channel_bit_for_bit(n, params):
+    seeds = [0, 1, 2**63 + 12345, 987654321, 2**64 - 1]
+    g, h_r, h_d = draw_channels(n, seeds, params)
+    assert g.shape == h_r.shape == (len(seeds), n) and h_d.shape == (len(seeds),)
+    for t, seed in enumerate(seeds):
+        ch = generate_channel(n, seed, params)
+        ref_g, ref_h_r, ref_h_d = reference_channel(n, seed, params)
+        for row, single, ref in ((g[t], ch.g, ref_g), (h_r[t], ch.h_r, ref_h_r)):
+            assert row.tobytes() == single.tobytes() == ref.tobytes()
+        assert np.complex128(h_d[t]).tobytes() == np.complex128(ch.h_d).tobytes() \
+            == np.complex128(ref_h_d).tobytes()
+        assert (ch.noise_power, ch.tx_power) == (params.noise_power, params.tx_power)
 
 
 def test_generate_channel_copies_params():
