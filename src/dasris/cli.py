@@ -7,7 +7,8 @@ Commands:
     gen      draw a random channel and write it as a channel CSV
 
 Exit codes: 0 success, 1 failed optimality verification, 2 input error,
-3 I/O error, 4 plan rejection.
+3 I/O error, 4 plan rejection. A size too large to allocate is a plan
+rejection in bench and compare and an input error in gen.
 """
 
 from __future__ import annotations
@@ -229,6 +230,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:  # numpy refuses an absurd size's arrays before any output
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
+        return EXIT_PLAN if args.command in ("bench", "compare") else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -8,6 +8,12 @@ block in one call, so a das record's wall time is that call's time over the
 cell's trial count. The other methods run, and are timed, trial by trial.
 Wall times cover solver calls only; channel generation, seeding and
 bookkeeping are excluded.
+
+A cell's trial seeds are derived in one pass too: _trial_seed_block runs
+numpy's SeedSequence mixing column by column over the cell's trials, bit for
+bit what SeedSequence((base_seed, n, trial)) gives each trial alone, and
+draw_channels seeds its rows the same way. Small cells and unusual seeds
+go through numpy itself.
 """
 
 from __future__ import annotations
@@ -23,7 +29,16 @@ import numpy as np
 
 from .baselines import EXHAUSTIVE_LIMIT, exhaustive_search, greedy_bitflip, random_best_of_k
 from .das import das_solve_block
-from .model import ChannelParams, ChannelRealization, _fmt, draw_channels, snr_db
+from .model import (
+    _BLOCK_ROWS,
+    _MASK32,
+    ChannelParams,
+    ChannelRealization,
+    _fmt,
+    _seed_state,
+    draw_channels,
+    snr_db,
+)
 
 TRIAL_CSV_HEADER = ("n", "trial", "method", "power", "snr_db", "wall_time_s")
 AGGREGATE_CSV_HEADER = (
@@ -142,16 +157,48 @@ class AggregateRow:
     optimality_rate: float
 
 
+def _int_words(value: int) -> list[int]:
+    # numpy's entropy words for an int >= 0: low word first, one word for 0
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _trial_seed_block(base_seed: int, n: int, trials) -> np.ndarray:
+    """The seeds of trials of size n: a (T, 2) uint64 block, T = len(trials).
+
+    Row i is SeedSequence((base_seed, n, trials[i])).generate_state(2,
+    np.uint64): the channel seed, then the sampling seed. When trials is a
+    range of at least _BLOCK_ROWS trials in [0, 2^32), and base_seed and n
+    are ints >= 0, every trial's entropy has the same words but the last,
+    and the rows are mixed column-wise by _seed_state in one pass. Otherwise
+    numpy's SeedSequence builds each row, with numpy's own errors.
+    """
+    if (isinstance(trials, range) and len(trials) >= _BLOCK_ROWS and trials.step > 0
+            and trials.start >= 0 and trials.stop <= _MASK32 + 1
+            and type(base_seed) is int and type(n) is int and min(base_seed, n) >= 0):
+        head = _int_words(base_seed) + _int_words(n)
+        entropy = np.empty((len(head) + 1, len(trials)), dtype=np.uint32)
+        entropy[:-1] = np.array(head, dtype=np.uint32)[:, None]
+        entropy[-1] = np.arange(trials.start, trials.stop, trials.step)
+        return _seed_state(entropy, 2).T
+    return np.array(
+        [np.random.SeedSequence((base_seed, n, t)).generate_state(2, np.uint64) for t in trials],
+        dtype=np.uint64).reshape(len(trials), 2)
+
+
 def trial_seeds(base_seed: int, n: int, trial: int) -> tuple[int, int]:
     """Derive (channel seed, sampling seed) for one trial.
 
     Mixes (base_seed, n, trial) through np.random.SeedSequence and takes two
     64-bit words: the first seeds the channel draw, the second any randomized
-    solver (the random baseline).
+    solver (the random baseline). The one-row call of the block that
+    run_plan derives for each cell of trials.
     """
-    ss = np.random.SeedSequence((base_seed, n, trial))
-    words = ss.generate_state(2, dtype=np.uint64)
-    return int(words[0]), int(words[1])
+    channel_seed, sample_seed = _trial_seed_block(base_seed, n, (trial,))[0].tolist()
+    return channel_seed, sample_seed
 
 
 def run_plan(plan: ExperimentPlan) -> list[TrialRecord]:
@@ -175,15 +222,15 @@ def run_plan(plan: ExperimentPlan) -> list[TrialRecord]:
         step = max(1, CELL_ELEMENTS // n)
         for first in range(0, plan.trials, step):
             trials = range(first, min(first + step, plan.trials))
-            seeds = [trial_seeds(plan.base_seed, n, t) for t in trials]
-            g, h_r, h_d = draw_channels(n, [chan_seed for chan_seed, _ in seeds], params)
+            chan_seeds, sample_seeds = _trial_seed_block(plan.base_seed, n, trials).T.tolist()
+            g, h_r, h_d = draw_channels(n, chan_seeds, params)
             channels = [
                 ChannelRealization(g=g[i], h_r=h_r[i], h_d=h_d[i],
                                    noise_power=params.noise_power, tx_power=params.tx_power)
                 for i in range(len(trials))
             ] if needs_channels else []
             cell_draws = [_timed(random_best_of_k, ch, RANDOM_K, sample_seed)
-                          for ch, (_, sample_seed) in zip(channels, seeds)] if draws else []
+                          for ch, sample_seed in zip(channels, sample_seeds)] if draws else []
             blocks = (g, h_r, h_d, params.tx_power)
             columns = [METHODS[m](blocks, channels, cell_draws) for m in methods]
             for i, t in enumerate(trials):

@@ -205,6 +205,46 @@ def test_bench_power_overflow_is_input_error_before_writing(tmp_path, capsys):
     assert not (out / "trials.csv").exists()
 
 
+# numpy refuses at once to allocate the 4 EiB of normals that one channel of
+# this size needs: no address space can hold them
+UNALLOCATABLE_N = str(2**57)
+
+
+@pytest.mark.parametrize("command", ["bench", "compare"])
+def test_sweep_too_large_to_allocate_is_plan_rejection(tmp_path, capsys, command):
+    out = tmp_path / "r"
+    argv = [command, "--n", UNALLOCATABLE_N, "--trials", "1"]
+    argv += ["--out", str(out)] if command == "bench" else []
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: not enough memory")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_gen_too_large_to_allocate_is_input_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["gen", "--n", UNALLOCATABLE_N, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: not enough memory")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_bench_memory_error_in_the_draw_is_plan_rejection(tmp_path, capsys, monkeypatch):
+    import dasris.harness as harness
+
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 2.91 TiB")
+
+    monkeypatch.setattr(harness, "draw_channels", refuse)
+    out = tmp_path / "r"
+    assert main(["bench", "--n", "16", "--trials", "3", "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "error: not enough memory: Unable to allocate 2.91 TiB\n"
+    assert not (out / "trials.csv").exists()
+
+
 def test_bench_unwritable_out(capsys):
     code = main(["bench", "--n", "4", "--trials", "1",
                  "--out", "/proc/definitely/not/writable"])

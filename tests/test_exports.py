@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import dasris
 import dasris.das
@@ -45,3 +46,25 @@ def test_composite_phi_returns_a_plain_vector():
     assert "CompositePhi" not in dasris.__all__
     assert not hasattr(dasris.model, "CompositePhi")
     assert tuple(f.name for f in dataclasses.fields(dasris.DasSolution)) == ("config", "power")
+
+
+def test_what_the_benchmark_workloads_call_keeps_its_shape():
+    # perfbench/workloads.py derives each trial's channel seed with
+    # trial_seeds and draws the channel with generate_channel
+    assert list(inspect.signature(dasris.trial_seeds).parameters) == ["base_seed", "n", "trial"]
+    pair = dasris.trial_seeds(7, 64, 3)
+    assert type(pair) is tuple and len(pair) == 2
+    assert all(type(word) is int for word in pair)
+    params = inspect.signature(dasris.generate_channel).parameters
+    assert list(params) == ["n", "seed", "params"]
+    assert params["params"].default is None
+    ch = dasris.generate_channel(64, pair[0], dasris.ChannelParams())
+    assert isinstance(ch, dasris.ChannelRealization) and ch.n == 64
+
+
+def test_seed_block_routines_stay_private():
+    for module, name in ((dasris.harness, "_trial_seed_block"), (dasris.model, "_seed_state"),
+                         (dasris.model, "_draw_seeded")):
+        assert callable(getattr(module, name))
+        assert name not in dasris.__all__
+        assert not hasattr(dasris, name)

