@@ -51,6 +51,8 @@ RANDOM_K = 16  # draws per trial for the random method, and greedy's start
 # its channel blocks stays near 256 KB, in cache while das sweeps it, and
 # memory stays bounded however many trials the plan asks for
 CELL_ELEMENTS = 1 << 14
+# the largest size whose channel row of 4n + 2 normals numpy can index
+_MAX_N = (np.iinfo(np.intp).max - 2) // 4
 
 
 def _timed(solve, *args):
@@ -118,6 +120,9 @@ class ExperimentPlan:
             raise PlanError("plan needs at least one surface size")
         if any(n < 1 for n in self.n_values):
             raise PlanError("surface sizes must be >= 1")
+        too_long = [n for n in self.n_values if n > _MAX_N]
+        if too_long:
+            raise PlanError(f"surface sizes above {_MAX_N} cannot be drawn; plan asks for n={too_long}")
         if len(set(self.n_values)) != len(self.n_values):
             raise PlanError("surface sizes must not repeat")
         if self.trials < 1:

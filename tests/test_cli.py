@@ -232,6 +232,32 @@ def test_gen_too_large_to_allocate_is_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+# a channel row of 4n + 2 normals past the largest index numpy can hold
+UNINDEXABLE_N = str(2**62)
+
+
+@pytest.mark.parametrize("command", ["bench", "compare"])
+def test_sweep_too_large_to_index_is_plan_rejection(tmp_path, capsys, command):
+    out = tmp_path / "r"
+    argv = [command, "--n", UNINDEXABLE_N, "--trials", "1"]
+    argv += ["--out", str(out)] if command == "bench" else []
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: surface sizes above")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_gen_too_large_to_index_is_input_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["gen", "--n", UNINDEXABLE_N, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_bench_memory_error_in_the_draw_is_plan_rejection(tmp_path, capsys, monkeypatch):
     import dasris.harness as harness
 

@@ -20,6 +20,7 @@ from dasris.model import (
     ChannelParams,
     ChannelRealization,
     PhaseConfig,
+    _PART_MIN,
     _composite,
     composite_phi,
     draw_channels,
@@ -492,6 +493,20 @@ def test_das_solve_block_on_tie_heavy_zero_and_wide_range_rows():
         random_g = (rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n)))
         random_g *= scale[:, None]
         assert_block_rows_match_das_solve(random_g, h_r, h_d)
+
+
+def test_das_solve_block_rows_are_das_solve_at_the_crossover_length():
+    # N+1 = 2 * _PART_MIN is the first length that a solve splits into parts
+    # (on two or more cores); a block's rows, a one-row block among them,
+    # take the same route there as das_solve, Rayleigh and tie-heavy alike
+    n = 2 * _PART_MIN - 1
+    g, h_r, h_d = draw_channels(n, [77], ChannelParams())
+    tie = tie_heavy_channel(np.random.default_rng(1234), n, 1j)
+    g = np.vstack((g, tie.g[None]))
+    h_r = np.vstack((h_r, tie.h_r[None]))
+    h_d = np.array([h_d[0], tie.h_d])
+    assert_block_rows_match_das_solve(g, h_r, h_d)
+    assert_block_rows_match_das_solve(g[1:], h_r[1:], h_d[1:])
 
 
 def test_das_solve_block_rejects_an_overflowing_row():

@@ -15,6 +15,7 @@ from dasris.harness import (
     ExperimentPlan,
     PlanError,
     TrialRecord,
+    _MAX_N,
     _trial_seed_block,
     aggregate,
     run_plan,
@@ -62,6 +63,16 @@ def test_plan_rejects_bad_inputs():
 def test_plan_rejects_repeated_sizes_and_non_integers(overrides):
     with pytest.raises(PlanError):
         small_plan(**overrides)
+
+
+def test_plan_rejects_sizes_whose_row_numpy_cannot_index():
+    # a channel of size n draws one row of 4n + 2 normals
+    assert 4 * _MAX_N + 2 <= np.iinfo(np.intp).max < 4 * (_MAX_N + 1) + 2
+    with pytest.raises(PlanError, match="cannot be drawn"):
+        small_plan(n_values=(4, _MAX_N + 1), methods=("das",))
+    with pytest.raises(PlanError, match="cannot be drawn"):
+        small_plan(n_values=(2**62,), methods=("das",))
+    assert small_plan(n_values=(_MAX_N,), methods=("das",)).n_values == (_MAX_N,)
 
 
 def test_plan_keeps_numpy_integers_as_ints():
