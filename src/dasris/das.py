@@ -26,15 +26,21 @@ at one of the segment's ends. A split inside a run is never better than a
 run end, and the run ends are exactly the patterns the sweep over psi
 produces. The prefix sum at a run end adds up the same entries whatever
 the order inside the run, so the winner does not depend on that order,
-and the solver can use numpy's default (unstable) argsort. The same holds
-when a long row is sorted as key ranges on separate threads: each range
-holds every copy of its keys, so the ranges sorted one by one and laid end
-to end put the same run ends in the same places as one sort of the row,
-and the prefix sum still runs once over the whole row.
+and the solver can use numpy's default (unstable) argsort.
+
+A long row splits two passes over threads, the fold and the sort, the two
+that a second core repays. The fold splits by position. The sort splits by
+key range: each range holds every copy of its keys, so the ranges sorted
+one by one and laid end to end put the same run ends in the same places as
+one sort of the row. Every other pass, the prefix sum included, runs once
+over the whole row on the calling thread.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
+import _thread
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +48,8 @@ import numpy as np
 from .model import (
     ChannelRealization,
     PhaseConfig,
-    _by_position,
     _composite,
-    _part_count,
     _power,
-    _run_parts,
     composite_phi,
     received_power,
 )
@@ -54,6 +57,11 @@ from .model import (
 HALF_PI = np.pi / 2.0
 # entries in the strided sample whose quantiles are a split sort's pivots
 _PIVOT_SAMPLE = 4096
+# a long row's fold and sort run as parts of at least this many entries, one
+# per usable CPU: below that, thread start-up, GIL hand-offs and page faults
+# on the split's buffers cost more than a second core saves (one part
+# against two timed with das_solve at N = 2^14 to 2^21, see CHANGES.md)
+_PART_MIN = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -62,6 +70,62 @@ class DasSolution:
 
     config: PhaseConfig
     power: float
+
+
+def _part_count(length: int) -> int:
+    """How many parts a row of length entries runs as: 1 below 2 * _PART_MIN."""
+    parts = length // _PART_MIN
+    if parts < 2:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(parts, cpus)
+
+
+def _run_parts(work, parts: int) -> None:
+    """work(p) for p in range(parts), spread over this thread and parts - 1 others.
+
+    With one part no thread is started. Otherwise parts - 1 threads are
+    started without waiting for them to run (threading.Thread.start waits:
+    0.4 ms median, 1.4 ms p90 on a 2-vCPU VM), and every thread, this one
+    included, claims the next unclaimed part until none is left, so a thread
+    that starts late takes fewer parts, or none, instead of holding the
+    others up. The call returns once every thread it started has finished,
+    so none outlives it. Each thread enters the caller's numpy error state,
+    which numpy does not pass on to new threads, and the first exception a
+    part raises on another thread is raised here.
+    """
+    err = np.geterr()
+    errors: list[BaseException] = []
+    claims = itertools.count()  # next() on it is atomic under the GIL
+
+    def drain():
+        p = next(claims)
+        while p < parts:
+            work(p)
+            p = next(claims)
+
+    def worker(done):
+        try:
+            with np.errstate(**err):
+                drain()
+        except BaseException as exc:  # raised on the calling thread below
+            errors.append(exc)
+        finally:
+            done.release()
+
+    finished = []
+    try:
+        for _ in range(parts - 1):
+            done = _thread.allocate_lock()
+            done.acquire()
+            _thread.start_new_thread(worker, (done,))
+            finished.append(done)
+        drain()
+    finally:
+        for done in finished:
+            done.acquire()
+    if errors:
+        raise errors[0]
 
 
 def _fold(z: np.ndarray, folded: np.ndarray, flip: np.ndarray) -> None:
@@ -101,15 +165,14 @@ def _best_step_pattern(phi_bar: np.ndarray, parts: int | None = None) -> np.ndar
     configuration w itself, int64 +-1: +1 where the winning sign vector
     agrees with its last (direct-link) entry.
 
-    A row runs as parts parts (default model._part_count(N+1)). The passes
-    entry by entry (fold, scores, configuration) split the row by position.
-    The sort splits it by key range, at parts - 1 pivots taken from a fixed
-    strided sample of the folded angles: range p holds the keys k with
-    pivots[p-1] <= k < pivots[p], so equal keys never straddle two ranges,
-    and the ranges sorted one by one and laid end to end are the whole row
-    sorted. The cumulative sum, the run-end mask and the argmax run once
-    over the whole row. A block with more than one part is solved row by
-    row.
+    A row runs its fold and its sort as parts parts (default
+    _part_count(N+1)); every other pass runs once over the whole row. The
+    fold splits the row by position. The sort splits it by key range, at
+    parts - 1 pivots taken from a fixed strided sample of the folded angles:
+    range p holds the keys k with pivots[p-1] <= k < pivots[p], so equal
+    keys never straddle two ranges, and the ranges sorted one by one and
+    laid end to end are the whole row sorted. A block with more than one
+    part is solved row by row.
     """
     length = phi_bar.shape[-1]
     if parts is None:
@@ -121,10 +184,10 @@ def _best_step_pattern(phi_bar: np.ndarray, parts: int | None = None) -> np.ndar
         return w
     folded = np.empty(phi_bar.shape)
     flip = np.empty(phi_bar.shape, dtype=bool)
-    # the fold negates phi_bar in place: afterwards every real part is >= 0
-    _by_position(_fold, parts, phi_bar, folded, flip)
     starts = 0
+    # the fold negates phi_bar in place: afterwards every real part is >= 0
     if parts == 1:
+        _fold(phi_bar, folded, flip)
         order = folded.argsort(-1)
         if order.ndim > 1:
             # flat positions: take() on the flattened block gathers faster than
@@ -136,6 +199,11 @@ def _best_step_pattern(phi_bar: np.ndarray, parts: int | None = None) -> np.ndar
         prefix = phi_bar.take(order)
         keys = folded.take(order)
     else:
+        def fold(p):
+            at = slice(length * p // parts, length * (p + 1) // parts)
+            _fold(phi_bar[at], folded[at], flip[at])
+
+        _run_parts(fold, parts)
         pivots = np.sort(folded[::max(1, length // _PIVOT_SAMPLE)])
         pivots = pivots[len(pivots) * np.arange(1, parts) // parts]
         # each range writes its share of keys, order and prefix in place:
@@ -168,36 +236,23 @@ def _best_step_pattern(phi_bar: np.ndarray, parts: int | None = None) -> np.ndar
         del in_range
     prefix.cumsum(-1, out=prefix)
     total = prefix[..., -1:].copy()
-
-    def score(part, out):
-        part *= 2.0
-        part -= total
-        np.abs(part, out=out)
-
-    scores = order.view(np.float64)  # the order is done with: its buffer takes the scores
-    del order
-    _by_position(score, parts, prefix, scores)
-    del prefix
+    prefix *= 2.0
+    prefix -= total
+    # the order is done with: its buffer takes the scores
+    scores = np.abs(prefix, out=order.view(np.float64))
+    del order, prefix
     # a split followed by an equal key lies inside a run: never the winner
     scores[..., :-1][keys[..., 1:] == keys[..., :-1]] = -1.0
     # the winner k is a run end, so the winning prefix holds exactly the
     # entries whose key is at most keys[k]: +1 there, unless the fold flipped it
     bound = keys.take(starts + scores.argmax(-1))[..., None]
     del keys, scores
-
-    def sides(angles, flips):
-        flips ^= angles <= bound
-
-    _by_position(sides, parts, folded, flip)  # flip now holds the winning sign vector
-
-    def config(plus, out):
-        # +1 where the winning sign vector agrees with its last (direct-link) entry
-        np.equal(plus, flip[..., -1:], out=out)
-        out *= 2
-        out -= 1
-
+    flip ^= folded <= bound  # flip now holds the winning sign vector
+    # +1 where the winning sign vector agrees with its last (direct-link) entry
     w = np.empty(phi_bar.shape[:-1] + (length - 1,), dtype=np.int64)
-    _by_position(config, parts, flip[..., :-1], w)
+    np.equal(flip[..., :-1], flip[..., -1:], out=w)
+    w *= 2
+    w -= 1
     return w
 
 

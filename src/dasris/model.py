@@ -18,10 +18,7 @@ import cmath
 import csv
 import functools
 import io
-import itertools
 import math
-import os
-import _thread
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,123 +133,31 @@ class PhaseConfig:
         return int(self.w.shape[0])
 
 
-# a long row runs as parts of at least this many entries, one per usable
-# CPU: below that, thread start-up, GIL hand-offs between passes and page
-# faults on the split's buffers cost more than a second core saves (one part
-# against two timed with das_solve at N = 2^14 to 2^21, see CHANGES.md)
-_PART_MIN = 1 << 19
-
-
-def _part_count(length: int) -> int:
-    """How many parts a row of length entries runs as: 1 below 2 * _PART_MIN."""
-    parts = length // _PART_MIN
-    if parts < 2:
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(parts, cpus)
-
-
-def _run_parts(work, parts: int) -> list:
-    """[work(p) for p in range(parts)], spread over this thread and parts - 1 others.
-
-    With one part no thread is started. Otherwise parts - 1 threads are
-    started without waiting for them to run (threading.Thread.start waits:
-    0.4 ms median, 1.4 ms p90 on a 2-vCPU VM), and every thread, this one
-    included, claims the next unclaimed part until none is left, so a thread
-    that starts late takes fewer parts, or none, instead of holding the
-    others up. The call returns once every thread it started has finished,
-    so none outlives it. Each thread enters the caller's numpy error state,
-    which numpy does not pass on to new threads, and the first exception a
-    part raises on another thread is raised here.
-    """
-    if parts == 1:
-        return [work(0)]
-    err = np.geterr()
-    results = [None] * parts
-    errors: list[BaseException] = []
-    claims = itertools.count()  # next() on it is atomic under the GIL
-
-    def drain():
-        p = next(claims)
-        while p < parts:
-            results[p] = work(p)
-            p = next(claims)
-
-    def worker(done):
-        try:
-            with np.errstate(**err):
-                drain()
-        except BaseException as exc:  # raised on the calling thread below
-            errors.append(exc)
-        finally:
-            done.release()
-
-    finished = []
-    try:
-        for _ in range(parts - 1):
-            done = _thread.allocate_lock()
-            done.acquire()
-            _thread.start_new_thread(worker, (done,))
-            finished.append(done)
-        drain()
-    finally:
-        for done in finished:
-            done.acquire()
-    if errors:
-        raise errors[0]
-    return results
-
-
-def _by_position(fn, parts: int, *arrays: np.ndarray) -> list:
-    """fn(*arrays), split into parts by position along the last axis.
-
-    The arrays share the length of their last axis. With one part fn runs
-    once on the arrays themselves; otherwise part p calls fn on the p-th of
-    parts consecutive column ranges of every array (views, so what fn
-    writes lands in the arrays), the parts spread over threads by
-    _run_parts. Returns fn's results in part order.
-    """
-    if parts == 1:
-        return [fn(*arrays)]
-    length = arrays[0].shape[-1]
-    columns = [slice(length * p // parts, length * (p + 1) // parts) for p in range(parts)]
-    return _run_parts(lambda p: fn(*(a[..., columns[p]] for a in arrays)), parts)
-
-
-def _composite(g: np.ndarray, h_r: np.ndarray, h_d, parts: int | None = None) -> np.ndarray:
+def _composite(g: np.ndarray, h_r: np.ndarray, h_d) -> np.ndarray:
     """phi_bar = (conj(h_r) * g, conj(h_d)) along the last axis, each row rescaled.
 
     g and h_r are (..., N) and h_d is (...); the result is (..., N+1). Each
     row is multiplied by its own power of two, chosen so that the row's
     largest real or imaginary part lies in [0.5, 1); an all-zero row is left
     unchanged. Raises ValueError when a product conj(h_r) * g overflows.
-    The products, the top and the rescaling run as parts parts by position
-    (default _part_count(N+1)); every entry gets the same bits whatever the
-    count.
+    Every pass runs over whole rows on the calling thread, at any length:
+    of a long solve's passes only das's fold and sort are split.
     """
-    n = g.shape[-1]
-    if parts is None:
-        parts = _part_count(n + 1)
-    phi_bar = np.empty(g.shape[:-1] + (n + 1,), dtype=complex)
+    phi_bar = np.empty(g.shape[:-1] + (g.shape[-1] + 1,), dtype=complex)
     # written straight into phi_bar, so phi needs no copy of its own; an
     # overflow shows as a non-finite top below, not as a numpy warning
     # not in place: numpy may take another complex-multiply loop then, whose
     # products can differ in the last bit
     with np.errstate(over="ignore", invalid="ignore"):
-        _by_position(lambda hr, gg, out: np.multiply(np.conj(hr), gg, out=out),
-                     parts, h_r, g, phi_bar[..., :-1])
+        np.multiply(np.conj(h_r), g, out=phi_bar[..., :-1])
     phi_bar[..., -1] = h_d.conjugate()
     floats = phi_bar.view(np.float64)
-    # initial=0.0 changes no top, and lets a part hold no entries at all
-    top = functools.reduce(np.maximum, _by_position(
-        lambda f: np.maximum.reduce(np.abs(f), axis=-1, keepdims=True, initial=0.0),
-        parts, floats))
+    top = np.abs(floats).max(-1, keepdims=True)
     if not top.max() < math.inf:  # written so that NaN fails too
         raise ValueError("composite coefficient conj(h_r) * g overflows a float")
     # ldexp, not a multiply by 2.0**-e, which overflows for a subnormal top;
     # frexp(0) gives exponent 0, so an all-zero row keeps its values
-    shift = -np.frexp(top)[1]
-    _by_position(lambda f: np.ldexp(f, shift, out=f), parts, floats)
+    np.ldexp(floats, -np.frexp(top)[1], out=floats)
     return phi_bar
 
 
@@ -298,11 +203,16 @@ def received_power(ch: ChannelRealization, config: PhaseConfig) -> float:
 
 
 def snr_db(power: float, noise_power: float) -> float:
-    """SNR in dB for a given received power; 0 power maps to -inf."""
-    if noise_power <= 0:
-        raise ValueError("noise_power must be > 0")
-    if power < 0:
-        raise ValueError("power must be >= 0")
+    """SNR in dB for a given received power; 0 power maps to -inf.
+
+    Raises ValueError for a noise power that is not finite and > 0, and for
+    a power that is not finite and >= 0.
+    """
+    # written so that NaN fails: every comparison with NaN is false
+    if not (math.isfinite(noise_power) and noise_power > 0):
+        raise ValueError("noise_power must be finite and > 0")
+    if not (math.isfinite(power) and power >= 0):
+        raise ValueError("power must be finite and >= 0")
     if power == 0.0:
         return float("-inf")
     return 10.0 * math.log10(power / noise_power)

@@ -15,12 +15,11 @@ from candidate_route import (
     sort_folded,
 )
 from dasris.baselines import continuous_upper_bound, exhaustive_search
-from dasris.das import das_solve, das_solve_block
+from dasris.das import _PART_MIN, das_solve, das_solve_block
 from dasris.model import (
     ChannelParams,
     ChannelRealization,
     PhaseConfig,
-    _PART_MIN,
     _composite,
     composite_phi,
     draw_channels,

@@ -1,5 +1,8 @@
+import ast
 import dataclasses
 import inspect
+import sys
+from pathlib import Path
 
 import dasris
 import dasris.das
@@ -68,3 +71,20 @@ def test_seed_block_routines_stay_private():
         assert callable(getattr(module, name))
         assert name not in dasris.__all__
         assert not hasattr(dasris, name)
+
+
+def test_the_library_imports_nothing_but_the_standard_library_and_numpy():
+    # numpy is the one runtime dependency that pyproject.toml declares
+    allowed = sys.stdlib_module_names | {"numpy", "dasris"}
+    modules = sorted(Path(dasris.__file__).parent.rglob("*.py"))
+    assert len(modules) >= 6
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:  # a relative import stays inside dasris
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name}:{node.lineno} imports {name}"

@@ -122,6 +122,12 @@ def test_snr_db_values():
         snr_db(1.0, 0.0)
     with pytest.raises(ValueError):
         snr_db(-1.0, 1.0)
+    for noise_power in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="noise_power must be finite and > 0"):
+            snr_db(1.0, noise_power)
+    for power in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="power must be finite and >= 0"):
+            snr_db(power, 1.0)
 
 
 def test_phase_config_validation():

@@ -1,9 +1,9 @@
-"""The split route: a long row solved as parts, on threads of their own.
+"""The split route: a long row's fold and sort run as parts, on threads of their own.
 
-The kernel and the composite take the part count, so these tests run it at
-1 to 4 parts on small channels, whatever the machine's core count. Which
-route a solve takes by default is pinned at the crossover length, where
-_part_count first returns more than one part.
+The kernel takes the part count, so these tests run it at 1 to 4 parts on
+small channels, whatever the machine's core count. Which route a solve takes
+by default is pinned at the crossover length, where _part_count first
+returns more than one part.
 """
 
 import math
@@ -16,16 +16,14 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 
-import dasris.model as model
+import dasris.das as das
 from dasris.baselines import exhaustive_search
-from dasris.das import _best_step_pattern, das_solve, das_solve_block
+from dasris.das import _best_step_pattern, _part_count, _run_parts, das_solve, das_solve_block
 from dasris.harness import ExperimentPlan, run_plan
 from dasris.model import (
     ChannelParams,
     PhaseConfig,
     _composite,
-    _part_count,
-    _run_parts,
     draw_channels,
     generate_channel,
     received_power,
@@ -37,7 +35,7 @@ PARTS = (1, 2, 3, 4)
 
 def solve_in_parts(ch, parts):
     """das_solve with the part count forced: (config, power)."""
-    w = _best_step_pattern(_composite(ch.g, ch.h_r, ch.h_d, parts=parts), parts)
+    w = _best_step_pattern(_composite(ch.g, ch.h_r, ch.h_d), parts)
     return w, received_power(ch, PhaseConfig._trusted(w))
 
 
@@ -53,9 +51,9 @@ def both_threads(parts=2):
 
 def test_part_count_splits_from_the_crossover_length():
     cores = len(os.sched_getaffinity(0))
-    assert _part_count(2 * model._PART_MIN - 1) == 1
-    assert _part_count(2 * model._PART_MIN) == min(2, cores)
-    assert _part_count(8 * model._PART_MIN) == min(8, cores)
+    assert _part_count(2 * das._PART_MIN - 1) == 1
+    assert _part_count(2 * das._PART_MIN) == min(2, cores)
+    assert _part_count(8 * das._PART_MIN) == min(8, cores)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 100, 1000, 4097])
@@ -65,11 +63,9 @@ def test_configs_are_bitwise_equal_across_part_counts(n, los):
     # unique and every part count takes the same sums
     for channel_seed in range(4):
         ch = generate_channel(n, 1000 * n + channel_seed, ChannelParams(los=los))
-        phi = _composite(ch.g, ch.h_r, ch.h_d, parts=1)
         w, power = solve_in_parts(ch, 1)
         assert w.tobytes() == das_solve(ch).config.w.tobytes()
         for parts in PARTS[1:]:
-            assert _composite(ch.g, ch.h_r, ch.h_d, parts=parts).tobytes() == phi.tobytes()
             other, other_power = solve_in_parts(ch, parts)
             assert other.tobytes() == w.tobytes(), (n, channel_seed, parts)
             assert other_power == power
@@ -128,9 +124,9 @@ def test_degenerate_splits_stay_exact(case):
 def test_a_split_block_is_solved_row_by_row():
     g, h_r, h_d = draw_channels(300, list(range(7)), ChannelParams())
     for parts in PARTS[1:]:
-        w = _best_step_pattern(_composite(g, h_r, h_d, parts=parts), parts)
+        w = _best_step_pattern(_composite(g, h_r, h_d), parts)
         for t in range(len(g)):
-            row = _best_step_pattern(_composite(g[t], h_r[t], h_d[t], parts=parts), parts)
+            row = _best_step_pattern(_composite(g[t], h_r[t], h_d[t]), parts)
             assert w[t].tobytes() == row.tobytes()
 
 
@@ -138,7 +134,7 @@ def test_a_solve_below_the_crossover_starts_no_thread(monkeypatch):
     def refuse(*args):
         raise AssertionError("a thread was started")
 
-    monkeypatch.setattr(model._thread, "start_new_thread", refuse)
+    monkeypatch.setattr(das._thread, "start_new_thread", refuse)
     ch = generate_channel(4096, 3)
     assert das_solve(ch).config.n == 4096
     g, h_r, h_d = draw_channels(256, list(range(64)), ChannelParams())
@@ -152,9 +148,29 @@ def test_a_solve_below_the_crossover_starts_no_thread(monkeypatch):
         solve_in_parts(ch, 2)
 
 
-def test_run_parts_returns_results_in_part_order():
-    assert _run_parts(lambda p: p * p, 1) == [0]
-    assert _run_parts(lambda p: p * p, 5) == [0, 1, 4, 9, 16]
+def test_run_parts_runs_every_part_once():
+    for parts in (1, 5):
+        ran = []
+        _run_parts(ran.append, parts)
+        assert sorted(ran) == list(range(parts))
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_a_split_solve_starts_threads_for_the_fold_and_the_sort_only(monkeypatch, parts):
+    # two thread rounds, the fold's and the sort's, of parts - 1 threads each
+    started = []
+    start = das._thread.start_new_thread
+
+    def count(*args):
+        started.append(args)
+        return start(*args)
+
+    monkeypatch.setattr(das._thread, "start_new_thread", count)
+    # the part count forced, so the count holds on any number of cores
+    monkeypatch.setattr(das, "_part_count", lambda length: parts)
+    ch = generate_channel(1000, 21)
+    assert das_solve(ch).config.w.tobytes() == solve_in_parts(ch, 1)[0].tobytes()
+    assert len(started) == 2 * (parts - 1)
 
 
 def test_run_parts_runs_every_part_once_under_contention():
@@ -168,9 +184,8 @@ def test_run_parts_runs_every_part_once_under_contention():
 
             def work(p):
                 ran[p] += 1
-                return -p
 
-            assert _run_parts(work, 8) == [-p for p in range(8)]
+            _run_parts(work, 8)
             assert ran == [1] * 8
     finally:
         sys.setswitchinterval(interval)
@@ -179,16 +194,16 @@ def test_run_parts_runs_every_part_once_under_contention():
 def test_run_parts_carries_the_numpy_error_state_into_its_threads():
     big = np.array([1e300])
     barrier = both_threads()
-    idents = set()
+    squares = {}
 
     def work(p):
         barrier.wait()
-        idents.add(threading.get_ident())
-        return big * big
+        squares[threading.get_ident()] = big * big
 
     with np.errstate(over="ignore"):
-        assert all(np.isinf(r).all() for r in _run_parts(work, 2))
-    assert len(idents) == 2
+        _run_parts(work, 2)
+    assert len(squares) == 2
+    assert all(np.isinf(r).all() for r in squares.values())
     barrier = both_threads()
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         _run_parts(work, 2)
@@ -210,19 +225,16 @@ def test_a_worker_exception_reaches_the_caller():
 
 def test_an_overflowing_composite_on_the_split_path_raises_without_a_warning(monkeypatch):
     g, h_r, h_d = draw_channels(64, [1], ChannelParams())
-    g[0, ::7] = h_r[0, ::7] = 1e200  # an overflowing product in every part
+    g[0, ::7] = h_r[0, ::7] = 1e200  # overflowing products all along the row
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for parts in PARTS:
-            with pytest.raises(ValueError, match="overflow"):
-                _composite(g, h_r, h_d, parts=parts)
-        monkeypatch.setattr(model, "_PART_MIN", 8)  # every solve splits
+        monkeypatch.setattr(das, "_PART_MIN", 8)  # every solve splits
         with pytest.raises(ValueError, match="overflow"):
             das_solve_block(g, h_r, h_d, 1.0)
 
 
 def test_no_thread_outlives_a_split_solve(monkeypatch):
-    monkeypatch.setattr(model, "_PART_MIN", 64)  # every solve below splits
+    monkeypatch.setattr(das, "_PART_MIN", 64)  # every solve below splits
     before = threading.active_count()
     ch = generate_channel(1000, 8)
     sol = das_solve(ch)
