@@ -55,6 +55,8 @@ from .model import (
 )
 
 HALF_PI = np.pi / 2.0
+# a float64 operand: np.less(x, 0) pays for converting the Python int each call
+_ZERO = np.float64(0.0)
 # entries in the strided sample whose quantiles are a split sort's pivots
 _PIVOT_SAMPLE = 4096
 # a long row's fold and sort run as parts of at least this many entries, one
@@ -128,42 +130,54 @@ def _run_parts(work, parts: int) -> None:
         raise errors[0]
 
 
-def _fold(z: np.ndarray, folded: np.ndarray, flip: np.ndarray) -> None:
-    """Fold z in place, entry by entry, writing its folded angles and flip mask.
+def _fold_half(z: np.ndarray, folded: np.ndarray, flip: np.ndarray) -> None:
+    """Fold z in place into [-pi/2, pi/2], writing its folded angles and flip mask.
 
     An entry is negated when its real part is negative, which leaves every
     real part at or above zero, so one atan2 lands in [-pi/2, pi/2]. Taking
-    the atan2 against |re| keeps a -0.0 real part from reading as pi. The
-    angles that come out as +pi/2 (a zero real part over a positive
-    imaginary one, or a real part too small next to the imaginary one to
-    show in the rounded angle) are folded once more, down to -pi/2.
+    the atan2 against |re| keeps a -0.0 real part from reading as pi.
     Zero-magnitude entries fold to angle 0 with no flip.
     """
-    np.less(z.real, 0, out=flip)
+    np.less(z.real, _ZERO, out=flip)
     np.negative(z, out=z, where=flip)
     np.abs(z.real, out=folded)
     np.arctan2(z.imag, folded, out=folded)
+
+
+def _fold_top(z: np.ndarray, folded: np.ndarray, flip: np.ndarray) -> None:
+    """Fold the angles that _fold_half left at +pi/2 once more, down to -pi/2.
+
+    They come from a zero real part over a positive imaginary one, or from a
+    real part too small next to the imaginary one to show in the rounded
+    angle.
+    """
+    top = folded >= HALF_PI
+    folded[top] = -HALF_PI
+    flip ^= top
+    z[top] = -z[top]
+
+
+def _fold(z: np.ndarray, folded: np.ndarray, flip: np.ndarray) -> None:
+    """Fold z in place into [-pi/2, pi/2), entry by entry: _fold_half, then _fold_top."""
+    _fold_half(z, folded, flip)
     # initial: a part may hold no entries
     if np.maximum.reduce(folded, axis=None, initial=-HALF_PI) >= HALF_PI:
-        top = folded >= HALF_PI
-        folded[top] = -HALF_PI
-        flip ^= top
-        z[top] = -z[top]
+        _fold_top(z, folded, flip)
 
 
 def _best_step_pattern(phi_bar: np.ndarray, parts: int | None = None) -> np.ndarray:
     """Optimal configuration for each phi_bar along the last axis.
 
     phi_bar is one (N+1,) vector or a (T, N+1) block of them, and is
-    overwritten by the fold; every row is solved on its own by the same sort
-    and scan, and the result is (N,) or (T, N). Candidate k's inner product
-    with phi_bar is 2 * prefix_k - total, where prefix_k sums the first k+1
-    flip-corrected entries in sorted order, so one cumulative sum scores
-    every candidate. Only the ends of runs of equal folded angles are scored
-    (see the module docstring), which makes the winner independent of how
-    the sort orders a run; the lowest such k wins ties. Returns the
-    configuration w itself, int64 +-1: +1 where the winning sign vector
-    agrees with its last (direct-link) entry.
+    overwritten by the fold and then by the scan; every row is solved on its
+    own by the same sort and scan, and the result is (N,) or (T, N).
+    Candidate k's inner product with phi_bar is 2 * prefix_k - total, where
+    prefix_k sums the first k+1 flip-corrected entries in sorted order, so
+    one cumulative sum scores every candidate. Only the ends of runs of
+    equal folded angles are scored (see the module docstring), which makes
+    the winner independent of how the sort orders a run; the lowest such k
+    wins ties. Returns the configuration w itself, int64 +-1: +1 where the
+    winning sign vector agrees with its last (direct-link) entry.
 
     A row runs its fold and its sort as parts parts (default
     _part_count(N+1)); every other pass runs once over the whole row. The
@@ -187,8 +201,14 @@ def _best_step_pattern(phi_bar: np.ndarray, parts: int | None = None) -> np.ndar
     starts = 0
     # the fold negates phi_bar in place: afterwards every real part is >= 0
     if parts == 1:
-        _fold(phi_bar, folded, flip)
+        _fold_half(phi_bar, folded, flip)
         order = folded.argsort(-1)
+        # a row's largest angle ends its order, so one lookup finds a +pi/2
+        # that a reduce over the row would cost more to find; a row that holds
+        # one folds it down and is sorted again
+        if (folded[order[-1]] if order.ndim == 1 else folded.max()) >= HALF_PI:
+            _fold_top(phi_bar, folded, flip)
+            order = folded.argsort(-1)
         if order.ndim > 1:
             # flat positions: take() on the flattened block gathers faster than
             # indexing a (T, N+1) array with two index arrays
@@ -234,18 +254,23 @@ def _best_step_pattern(phi_bar: np.ndarray, parts: int | None = None) -> np.ndar
 
         _run_parts(sort, parts)
         del in_range
-    prefix.cumsum(-1, out=prefix)
-    total = prefix[..., -1:].copy()
-    prefix *= 2.0
-    prefix -= total
-    # the order is done with: its buffer takes the scores
-    scores = np.abs(prefix, out=order.view(np.float64))
-    del order, prefix
+    # add.accumulate, not cumsum: the same sums, about half the per-call cost
+    np.add.accumulate(prefix, axis=-1, out=prefix)
+    # phi_bar and the order are done with: their buffers take 2 * prefix -
+    # total and the scores, so no copy of the total is made
+    twice = np.multiply(prefix, 2.0, out=phi_bar)
+    twice -= prefix[..., -1:]
+    scores = np.abs(twice, out=order.view(np.float64))
+    del order, prefix, twice
     # a split followed by an equal key lies inside a run: never the winner
     scores[..., :-1][keys[..., 1:] == keys[..., :-1]] = -1.0
     # the winner k is a run end, so the winning prefix holds exactly the
     # entries whose key is at most keys[k]: +1 there, unless the fold flipped it
-    bound = keys.take(starts + scores.argmax(-1))[..., None]
+    if keys.ndim == 1:
+        # one row: a Python float, which numpy compares faster than a (1,) array
+        bound = float(keys[scores.argmax()])
+    else:
+        bound = keys.take(starts + scores.argmax(-1))[:, None]
     del keys, scores
     flip ^= folded <= bound  # flip now holds the winning sign vector
     # +1 where the winning sign vector agrees with its last (direct-link) entry

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from dasris import cli
 from dasris.cli import main
 from dasris.model import ChannelRealization, generate_channel, write_channel_csv
 
@@ -307,3 +308,22 @@ def test_no_los_flag_changes_bench_results(tmp_path):
     rows_a = list(csv.reader(open(out_a / "trials.csv")))
     rows_b = list(csv.reader(open(out_b / "trials.csv")))
     assert [r[3] for r in rows_a[1:]] != [r[3] for r in rows_b[1:]]
+
+
+def test_main_keeps_one_parser_and_no_state_between_calls(tmp_path):
+    # main builds its parser once per process; a flag, a method list or a
+    # value given to one call must not carry over into the next
+    assert cli._parser() is cli._parser()
+    assert main(["bench", "--n", "4", "--trials", "2", "--seed", "1", "--no-los",
+                 "--methods", "das,greedy", "--beta-g", "3", "--out", str(tmp_path / "a")]) == 0
+    argv = ["bench", "--n", "4", "--trials", "2", "--seed", "1", "--out"]
+    assert main(argv + [str(tmp_path / "b")]) == 0
+    args = cli._parser().parse_args(["bench", "--n", "4"])
+    assert (args.no_los, args.methods, args.beta_g, args.trials) == (False, ("das",), 1.0, 100)
+    # the second call wrote what a fresh process writes for the same argv
+    subprocess.run([sys.executable, "-m", "dasris.cli"] + argv + [str(tmp_path / "c")],
+                   check=True, capture_output=True)
+    rows_b = [r[:5] for r in csv.reader(open(tmp_path / "b" / "trials.csv"))]
+    rows_c = [r[:5] for r in csv.reader(open(tmp_path / "c" / "trials.csv"))]
+    assert rows_b == rows_c
+    assert {r[2] for r in rows_b[1:]} == {"das"}

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import itertools
 import math
 
@@ -517,3 +518,39 @@ def test_das_solve_block_rejects_an_overflowing_row():
     g[2, 0] = h_r[2, 0] = 1e200  # the row's composite entry overflows a float
     with pytest.raises(ValueError, match="overflow"):
         das_solve_block(g, h_r, h_d, 1.0)
+
+
+def pinned_channels():
+    """das_solve's own hash set: Rayleigh, tie-heavy and 2^+-500-scaled channels."""
+    for n in (1, 2, 3, 8, 17, 64, 256, 1000, 4096):
+        for los in (True, False):
+            for seed in range(6):
+                yield generate_channel(n, 9100 + seed, ChannelParams(los=los))
+    rng = np.random.default_rng(2718)
+    for h_d in TIE_DIRECT_LINKS:
+        for n in (1, 2, 5, 12, 64, 4096):
+            for _ in range(3):
+                yield tie_heavy_channel(rng, n, h_d)
+    for k in (-500, 500):
+        for n in (1, 8, 64):
+            for los in (True, False):
+                for seed in range(3):
+                    ch = generate_channel(n, 9200 + seed, ChannelParams(los=los))
+                    yield scaled_channel(ch, math.ldexp(1.0, k))
+
+
+# sha256 of das_solve's configurations and powers on pinned_channels(), taken
+# from the solver before its per-call overhead was cut (scalar rescale of a
+# single row, in-place accumulate, no copy of the total): a change to the
+# composite, the fold, the scan or the power shows here, at sizes and scales
+# that RECORDS_SHA256 (block route, n <= 20) does not reach
+DAS_SHA256 = "3fa6d78230e9ba8ab94cc5d4eb474fd44ff8c68ac8961791389b8258006026fd"
+
+
+def test_das_solve_configs_and_powers_are_pinned():
+    digest = hashlib.sha256()
+    for ch in pinned_channels():
+        sol = das_solve(ch)
+        digest.update(sol.config.w.tobytes())
+        digest.update(repr(sol.power).encode())
+    assert digest.hexdigest() == DAS_SHA256

@@ -3,6 +3,7 @@ import io
 import math
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,47 @@ def test_composite_phi_conjugates_h_r():
 def test_composite_phi_all_zero_is_returned_unchanged():
     phi_bar = composite_phi(make_channel([0, 0], [0, 0], 0))
     assert np.array_equal(phi_bar, [0.0, 0.0, 0.0])
+
+
+# largest |re| or |im| of a row's composite: the smallest subnormal, two more
+# subnormals, zero (an all-zero row), and a value near the largest float
+EXTREME_TOPS = [5e-324, 2.0**-1070, 1e-310, 0.0, 1.5e308]
+
+
+@pytest.mark.parametrize("top", EXTREME_TOPS)
+def test_composite_phi_row_matches_its_block_row_at_extreme_tops(top):
+    # a channel alone takes the one-row rescale (Python float exponent), a
+    # block the per-row one (array frexp); both must give the same bits
+    g = np.array([complex(top, -top / 2), complex(-top / 4, top / 8), complex(0.0, -top)])
+    h_r = np.array([1, 1j, -1], dtype=complex)
+    h_d = complex(top / 2, -top / 16)
+    row = composite_phi(make_channel(g, h_r, h_d))
+    scaled = float(np.max(np.abs(row.view(np.float64))))
+    assert scaled == math.frexp(top)[0]  # the top's mantissa, 0 for zero
+    one = model._composite(g[None], h_r[None], np.array([h_d]))
+    assert one[0].tobytes() == row.tobytes()
+    # neighbours of other scales: each row keeps its own exponent
+    g3 = np.vstack((np.full_like(g, 1e300), g, np.full_like(g, 3e-320)))
+    h_d3 = np.array([1e-300, h_d, 0.0])
+    three = model._composite(g3, np.vstack((h_r, h_r, h_r)), h_d3)
+    assert three[1].tobytes() == row.tobytes()
+    for t in (0, 2):
+        alone = composite_phi(make_channel(g3[t], h_r, h_d3[t]))
+        assert three[t].tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("g, h_r", [
+    ([1e160, 2e160], [1e160, 1]),  # the product overflows to inf
+    ([1e200 + 1e200j], [1e200 + 1e200j]),  # inf - inf: a NaN part
+])
+def test_composite_phi_rejects_an_overflowing_product_without_a_warning(g, h_r):
+    ch = make_channel(g, h_r, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow"):
+            composite_phi(ch)
+        with pytest.raises(ValueError, match="overflow"):
+            model._composite(ch.g[None], ch.h_r[None], np.array([ch.h_d]))
 
 
 SMALL_PARTS = st.integers(min_value=-8, max_value=8)
