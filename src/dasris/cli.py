@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import math
 import sys
 from pathlib import Path
@@ -185,9 +186,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     aggregate_path = args.out / "aggregate.csv"
     with open(trials_path, "w", newline="") as fp:
         write_trial_csv(records, fp)
+    # formatted once, written to the file and to stdout
+    buf = io.StringIO()
+    write_aggregate_csv(rows, buf)
+    table = buf.getvalue()
     with open(aggregate_path, "w", newline="") as fp:
-        write_aggregate_csv(rows, fp)
-    write_aggregate_csv(rows, sys.stdout)
+        fp.write(table)
+    sys.stdout.write(table)
     print(f"wrote {trials_path} and {aggregate_path}", file=sys.stderr)
     return EXIT_OK
 

@@ -299,11 +299,12 @@ def das_solve_block(
     """das_solve for T channels at once, given as rows of blocks.
 
     g and h_r are (T, N) and h_d is (T,), as model.draw_channels returns
-    them. One sweep over the (T, N+1) composite block solves every row;
-    returns the (T, N) int64 configurations and the T powers. Row t's
-    configuration and power are bit for bit those of das_solve on channel t
-    alone, and a row whose power overflows a float raises ValueError.
+    them. One sweep over the (T, N+1) composite block solves every row, and
+    one model._power call over the block, a single np.vecdot, gives the T
+    powers; returns the (T, N) int64 configurations and the list of powers.
+    Row t's configuration and power are bit for bit those of das_solve on
+    channel t alone, and a row whose power overflows a float raises
+    ValueError.
     """
     w = _best_step_pattern(_composite(g, h_r, h_d))
-    powers = [_power(hr, wg, d, tx_power) for hr, wg, d in zip(h_r, w * g, h_d.tolist())]
-    return w, powers
+    return w, _power(h_r, w * g, h_d, tx_power)

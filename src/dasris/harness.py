@@ -151,6 +151,14 @@ class TrialRecord:
     snr_db: float
     wall_time: float
 
+    @classmethod
+    def _trusted(cls, n, trial, method, power, snr_db, wall_time) -> "TrialRecord":
+        """A record from fields run_plan made as such, without the generated __init__."""
+        record = object.__new__(cls)
+        record.__dict__.update(n=n, trial=trial, method=method, power=power,
+                               snr_db=snr_db, wall_time=wall_time)
+        return record
+
 
 @dataclass(frozen=True)
 class AggregateRow:
@@ -222,6 +230,8 @@ def run_plan(plan: ExperimentPlan) -> list[TrialRecord]:
     methods = [m for m in METHODS if m in plan.methods]
     needs_channels = any(m != "das" for m in methods)
     draws = not _DRAW_USERS.isdisjoint(plan.methods)
+    noise_power = params.noise_power
+    record = TrialRecord._trusted
     records: list[TrialRecord] = []
     for n in plan.n_values:
         step = max(1, CELL_ELEMENTS // n)
@@ -238,12 +248,10 @@ def run_plan(plan: ExperimentPlan) -> list[TrialRecord]:
                           for ch, sample_seed in zip(channels, sample_seeds)] if draws else []
             blocks = (g, h_r, h_d, params.tx_power)
             columns = [METHODS[m](blocks, channels, cell_draws) for m in methods]
-            for i, t in enumerate(trials):
-                for method, column in zip(methods, columns):
-                    power, seconds = column[i]
-                    records.append(TrialRecord(
-                        n=n, trial=t, method=method, power=power,
-                        snr_db=snr_db(power, params.noise_power), wall_time=seconds))
+            for t, row in zip(trials, zip(*columns)):
+                for method, (power, seconds) in zip(methods, row):
+                    records.append(record(n, t, method, power,
+                                          snr_db(power, noise_power), seconds))
     return records
 
 
@@ -279,13 +287,19 @@ def aggregate(records: list[TrialRecord]) -> list[AggregateRow]:
 
 
 def write_trial_csv(records: list[TrialRecord], fp: io.TextIOBase) -> None:
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(TRIAL_CSV_HEADER)
-    for rec in records:
-        writer.writerow(
-            [rec.n, rec.trial, rec.method,
-             _fmt(rec.power), _fmt(rec.snr_db), _fmt(rec.wall_time)]
-        )
+    """Write TRIAL_CSV_HEADER, then one line per record.
+
+    The bytes are those of csv.writer with model._fmt: each float is
+    repr(float(x)), and no field needs quoting, as sizes and trials are
+    integers and methods are METHODS names. One formatted line per record,
+    written as it is made, so a long sweep's file is never held whole.
+    """
+    fp.write(",".join(TRIAL_CSV_HEADER) + "\n")
+    fp.writelines(
+        f"{rec.n!s},{rec.trial!s},{rec.method},"
+        f"{float(rec.power)!r},{float(rec.snr_db)!r},{float(rec.wall_time)!r}\n"
+        for rec in records
+    )
 
 
 def write_aggregate_csv(rows: list[AggregateRow], fp: io.TextIOBase) -> None:

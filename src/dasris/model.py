@@ -35,12 +35,15 @@ class ChannelFormatError(ValueError):
         super().__init__(f"line {line}: {message}")
 
 
-def _check_powers(noise_power: float, tx_power: float) -> None:
+def _check_positive(name: str, value: float) -> None:
     # written so that NaN fails: every comparison with NaN is false
-    if not (math.isfinite(noise_power) and noise_power > 0):
-        raise ValueError("noise_power must be finite and > 0")
-    if not (math.isfinite(tx_power) and tx_power > 0):
-        raise ValueError("tx_power must be finite and > 0")
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0")
+
+
+def _check_powers(noise_power: float, tx_power: float) -> None:
+    _check_positive("noise_power", noise_power)
+    _check_positive("tx_power", tx_power)
 
 
 @dataclass(frozen=True)
@@ -190,19 +193,30 @@ def composite_phi(ch: ChannelRealization) -> np.ndarray:
     return _composite(ch.g, ch.h_r, ch.h_d)
 
 
-def _power(h_r: np.ndarray, wg: np.ndarray, h_d: complex, tx_power: float) -> float:
-    """tx_power * |h_r^H wg + conj(h_d)|^2 for one channel, wg = w * g.
-
-    The one power formula: received_power and das_solve_block both call it,
-    so a row of a block gets the same bits as its channel on its own. Raises
-    ValueError when the power overflows a float.
-    """
-    amp = complex(np.vdot(h_r, wg)) + h_d.conjugate()
+def _amp_power(amp: complex, tx_power: float) -> float:
     # Python floats: an overflow gives inf rather than a numpy warning
     power = (amp.real * amp.real + amp.imag * amp.imag) * tx_power
     if not math.isfinite(power):
         raise ValueError(f"received power overflows a float ({power})")
     return power
+
+
+def _power(h_r: np.ndarray, wg: np.ndarray, h_d, tx_power: float):
+    """tx_power * |h_r^H wg + conj(h_d)|^2 along the last axis, wg = w * g.
+
+    The one power formula. received_power passes one channel, (N,) vectors
+    and a complex h_d, and gets a float; das_solve_block passes a block,
+    (T, N) and (T,), and gets a list of T floats from one np.vecdot. Both
+    np.vdot on one row and np.vecdot on a block run the BLAS conjugated dot
+    product (zdotc) row by row, so a row of a block gets the same bits as
+    its channel on its own; on one row np.vdot costs about 0.4 us less
+    (timeit, 2-vCPU VM).
+    Raises ValueError when a power overflows a float.
+    """
+    if h_r.ndim == 1:
+        return _amp_power(complex(np.vdot(h_r, wg)) + h_d.conjugate(), tx_power)
+    return [_amp_power(amp, tx_power)
+            for amp in (np.vecdot(h_r, wg) + h_d.conjugate()).tolist()]
 
 
 def received_power(ch: ChannelRealization, config: PhaseConfig) -> float:
@@ -223,16 +237,20 @@ def snr_db(power: float, noise_power: float) -> float:
     """SNR in dB for a given received power; 0 power maps to -inf.
 
     Raises ValueError for a noise power that is not finite and > 0, and for
-    a power that is not finite and >= 0.
+    a power that is not finite and >= 0. A positive power gives a finite
+    SNR even where power / noise_power underflows to 0 or overflows to inf.
     """
+    _check_positive("noise_power", noise_power)
     # written so that NaN fails: every comparison with NaN is false
-    if not (math.isfinite(noise_power) and noise_power > 0):
-        raise ValueError("noise_power must be finite and > 0")
     if not (math.isfinite(power) and power >= 0):
         raise ValueError("power must be finite and >= 0")
     if power == 0.0:
         return float("-inf")
-    return 10.0 * math.log10(power / noise_power)
+    ratio = power / noise_power
+    if 0.0 < ratio < math.inf:
+        return 10.0 * math.log10(ratio)
+    # the quotient left the double range: the difference of logs does not
+    return 10.0 * (math.log10(power) - math.log10(noise_power))
 
 
 def _complex_gaussian(re: np.ndarray, im: np.ndarray, variance: float) -> np.ndarray:
@@ -243,19 +261,18 @@ def _complex_gaussian(re: np.ndarray, im: np.ndarray, variance: float) -> np.nda
     return z
 
 
-# numpy's SeedSequence (numpy/random/bit_generator.pyx) and PCG64 seeding
-# constants, for reproducing both column by column
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx), for
+# reproducing it column by column
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # a group of fewer rows than this is seeded by numpy itself, one row at a
 # time: there numpy's cost per row (about 15-20 us a SeedSequence, 20-25 us
 # a default_rng draw at n = 16) undercuts the fixed cost of the column-wise
-# routine (about 65-85 us a seed block, 90-120 us a block draw; 2-vCPU VM)
+# routine (about 65-85 us a seed block, 70-80 us a block draw of 2 to 5
+# rows at n = 16; 2-vCPU VM)
 _BLOCK_ROWS = 6
 
 
@@ -346,31 +363,48 @@ def _seed_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
     return state[0::2] | state[1::2] << np.uint64(32)  # little-endian word pairs
 
 
+@functools.cache
+def _row_seed_type() -> type:
+    """An ISeedSequence whose generate_state hands out one row's precomputed words.
+
+    Built on first use, not at import: the base class lives in numpy.random,
+    which import numpy alone does not load, and loading it costs every
+    process that never draws a block about 12 ms.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class RowSeed(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 asks once for its four words and reads the buffer raw
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError(f"a row seed holds 4 uint64 words, not {n_words} {dtype}")
+            return self.words
+
+    return RowSeed
+
+
 def _draw_seeded(normals: np.ndarray, seeds: dict[int, int]) -> None:
     """Fill normals[row] as np.random.default_rng(seed) would, for each row -> seed.
 
     Every seed is an int in [0, 2^64). The seeds' SeedSequence states come
-    from _seed_state, and each row sets one reused PCG64 to the state
-    PCG64's 128-bit seeding would reach: state 0, inc = (initseq << 1) | 1,
-    one step, add initstate, one step.
+    from _seed_state, one C-contiguous (4,) uint64 row per seed, and each
+    row seeds its own PCG64 through numpy's public ISeedSequence interface,
+    so PCG64 runs its own 128-bit seeding on exactly the words
+    SeedSequence(seed) would give it.
     """
     values = np.array(list(seeds.values()), dtype=np.uint64)
     # numpy gives a seed below 2^32 one entropy word, but it hashes a missing
     # pool word as 0, so the words (seed, 0) give the same state
     words = np.stack((values, values >> np.uint64(32))).astype(np.uint32)
-    state = _seed_state(words, 4).tolist()
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    for row, s_hi, s_lo, i_hi, i_lo in zip(seeds, *state):
-        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128,
-                      "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        gen.standard_normal(out=normals[row])
+    row_seed = _row_seed_type()
+    pcg64, generator = np.random.PCG64, np.random.Generator
+    for row, state in zip(seeds, _seed_state(words, 4).T.copy()):
+        generator(pcg64(row_seed(state))).standard_normal(out=normals[row])
 
 
 def draw_channels(
@@ -386,8 +420,8 @@ def draw_channels(
     params.los is false. The block is checked once: every entry is finite.
 
     When at least _BLOCK_ROWS seeds are ints (or numpy integers) in
-    [0, 2^64), their rows are seeded column-wise and drawn through one
-    reused generator. Every other row goes through
+    [0, 2^64), their SeedSequence words are mixed column-wise and each of
+    their rows is drawn by a PCG64 seeded with its own words. Every other row goes through
     np.random.default_rng(seed) itself, with numpy's own errors.
     """
     if n < 1:

@@ -206,6 +206,20 @@ def test_bench_power_overflow_is_input_error_before_writing(tmp_path, capsys):
     assert not (out / "trials.csv").exists()
 
 
+def test_bench_snr_outside_the_double_range_is_finite(tmp_path, capsys):
+    # power / noise_power underflows to 0 on every trial of this sweep
+    out = tmp_path / "r"
+    code = main(["bench", "--n", "4", "--trials", "2", "--seed", "1", "--beta-g", "1e-150",
+                 "--beta-r", "1e-150", "--beta-d", "0", "--noise-power", "1e300",
+                 "--out", str(out)])
+    assert code == 0
+    rows = list(csv.DictReader(open(out / "trials.csv")))
+    assert len(rows) == 2
+    for row in rows:
+        assert float(row["power"]) > 0 and -7000 < float(row["snr_db"]) < -5000
+    assert capsys.readouterr().out == (out / "aggregate.csv").read_text()
+
+
 # numpy refuses at once to allocate the 4 EiB of normals that one channel of
 # this size needs: no address space can hold them
 UNALLOCATABLE_N = str(2**57)

@@ -23,7 +23,7 @@ from dasris.harness import (
     write_aggregate_csv,
     write_trial_csv,
 )
-from dasris.model import _BLOCK_ROWS, ChannelParams, generate_channel
+from dasris.model import _BLOCK_ROWS, ChannelParams, _fmt, generate_channel
 
 
 def small_plan(**overrides):
@@ -342,6 +342,44 @@ def test_aggregate_csv_layout_and_roundtrip():
     assert float(rows[1][2]) == 1.5
     assert math.isnan(float(rows[1][5]))
     assert float(rows[2][5]) == 0.875
+
+
+def reference_trial_csv(records):
+    """The trial CSV as csv.writer with model._fmt wrote it, field by field."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(TRIAL_CSV_HEADER)
+    for rec in records:
+        writer.writerow([rec.n, rec.trial, rec.method,
+                         _fmt(rec.power), _fmt(rec.snr_db), _fmt(rec.wall_time)])
+    return buf.getvalue()
+
+
+def test_trial_csv_bytes_are_the_csv_writers():
+    floats = [0.0, -0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan,
+              0.1, 1 / 3, -2.5e-300, 12345.678]
+    records = []
+    for k, x in enumerate(floats):
+        y = floats[(k + 3) % len(floats)]
+        z = floats[(k + 7) % len(floats)]
+        records.append(TrialRecord(n=k + 1, trial=k, method="das", power=x, snr_db=y,
+                                   wall_time=z))
+        records.append(TrialRecord(n=np.int64(k + 16), trial=np.int64(2**40 + k),
+                                   method="random", power=np.float64(y),
+                                   snr_db=np.float64(z), wall_time=np.float64(x)))
+    records += run_plan(small_plan(trials=4))
+    for sample in (records, records[:1], []):
+        buf = io.StringIO()
+        write_trial_csv(sample, buf)
+        assert buf.getvalue().encode() == reference_trial_csv(sample).encode()
+
+
+def test_run_plan_records_are_plain_trial_records():
+    for rec in run_plan(small_plan(trials=2)):
+        twin = TrialRecord(n=rec.n, trial=rec.trial, method=rec.method, power=rec.power,
+                           snr_db=rec.snr_db, wall_time=rec.wall_time)
+        assert type(rec) is TrialRecord
+        assert rec == twin and hash(rec) == hash(twin) and repr(rec) == repr(twin)
 
 
 def test_infinite_snr_written_parseable():

@@ -3,6 +3,8 @@ import io
 import math
 import random
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -170,6 +172,22 @@ def test_snr_db_values():
     for power in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="power must be finite and >= 0"):
             snr_db(power, 1.0)
+
+
+@pytest.mark.parametrize("power, noise_power, expected", [
+    (1e300, 1e-300, 6000.0),  # the quotient overflows a float
+    (1e-300, 1e300, -6000.0),  # it underflows to 0
+    (5e-324, 1e300, 10 * (math.log10(5e-324) - 300.0)),
+])
+def test_snr_db_is_finite_where_the_quotient_leaves_the_double_range(power, noise_power, expected):
+    assert power / noise_power in (0.0, math.inf)
+    assert math.isclose(snr_db(power, noise_power), expected, rel_tol=1e-15)
+
+
+def test_snr_db_keeps_the_quotients_log_inside_the_double_range():
+    for power, noise_power in ((4.0, 2.0), (1e-300, 1e-8), (1e300, 1e8), (5e-324, 1.0),
+                               (1.7976931348623157e308, 1.0)):
+        assert snr_db(power, noise_power) == 10.0 * math.log10(power / noise_power)
 
 
 def test_phase_config_validation():
@@ -364,6 +382,57 @@ def test_draw_channels_seeds_a_large_block_column_wise(monkeypatch, ones, twos):
     if seeds:
         assert_rows_are_default_rng(5, seeds)
     assert blocks == ([ones + twos] if ones + twos >= _BLOCK_ROWS else [])
+
+
+SHIM_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
+
+
+def test_draw_seeded_rows_get_pcg64s_own_seeding(monkeypatch):
+    # each row's generator must start exactly where np.random.PCG64(seed)
+    # starts: state, increment and the buffered 32-bit half alike
+    row_seed = model._row_seed_type()
+    asked, states = [], []
+    generate_state = row_seed.generate_state
+
+    def recording(self, n_words, dtype=np.uint32):
+        asked.append((n_words, dtype))
+        words = generate_state(self, n_words, dtype)
+        assert words.dtype == np.uint64 and words.shape == (4,) and words.flags.c_contiguous
+        return words
+
+    class Generator(np.random.Generator):
+        def standard_normal(self, *args, **kwargs):
+            states.append(self.bit_generator.state)
+            return super().standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(row_seed, "generate_state", recording)
+    monkeypatch.setattr(np.random, "Generator", Generator)
+    seeds = list(SHIM_SEEDS) * (_BLOCK_ROWS // len(SHIM_SEEDS) + 1)
+    assert len(seeds) >= _BLOCK_ROWS
+    normals = np.empty((len(seeds), 7))
+    model._draw_seeded(normals, dict(enumerate(seeds)))
+    assert asked == [(4, np.uint64)] * len(seeds)
+    assert states == [np.random.PCG64(seed).state for seed in seeds]
+    for row, seed in zip(normals, seeds):
+        assert row.tobytes() == np.random.default_rng(seed).standard_normal(7).tobytes()
+
+
+def test_row_seed_refuses_any_other_request():
+    seq = model._row_seed_type()(np.zeros(4, dtype=np.uint64))
+    with pytest.raises(ValueError, match="4 uint64 words"):
+        seq.generate_state(8, np.uint64)
+    with pytest.raises(ValueError, match="4 uint64 words"):
+        seq.generate_state(4, np.uint32)
+
+
+def test_importing_the_library_does_not_load_numpy_random():
+    # numpy.random loads on the first seeded block, not at import, which
+    # would add its import time to every process
+    code = ("import sys, dasris.cli, dasris.das, dasris.harness, dasris.model; "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("bad", [-1, np.int64(-5), 1.5, True])
