@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChannelRealization, PhaseConfig, composite_phi, received_power
+from .model import (ChannelRealization, PhaseConfig, _overflow_quiet, _product,
+                    composite_phi, received_power)
 
 EXHAUSTIVE_LIMIT = 20
 # bytes of one grid chunk of exhaustive_search, per real and imaginary part:
@@ -141,6 +142,7 @@ def random_best_of_k(ch: ChannelRealization, k: int, seed: int) -> BaselineResul
     )
 
 
+@_overflow_quiet  # a sum of finite magnitudes may pass the largest float
 def continuous_upper_bound(ch: ChannelRealization) -> float:
     """Power with every reflection phased perfectly, an upper bound for 1-bit.
 
@@ -148,8 +150,7 @@ def continuous_upper_bound(ch: ChannelRealization) -> float:
     exceed it, and it is generally not attained. Raises ValueError when the
     bound is not finite, that is when it overflows a float.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = float(np.sum(np.abs(np.conj(ch.h_r) * ch.g)) + abs(ch.h_d))
+    total = float(np.sum(np.abs(_product(ch.h_r, ch.g))) + abs(ch.h_d))
     bound = total * total * ch.tx_power
     if not math.isfinite(bound):
         raise ValueError(f"continuous upper bound overflows a float ({bound})")

@@ -51,7 +51,6 @@ from .model import (
     _composite,
     _power,
     composite_phi,
-    received_power,
 )
 
 HALF_PI = np.pi / 2.0
@@ -72,6 +71,13 @@ class DasSolution:
 
     config: PhaseConfig
     power: float
+
+    @classmethod
+    def _trusted(cls, config: PhaseConfig, power: float) -> "DasSolution":
+        """A solution from fields das_solve made as such, without the generated __init__."""
+        solution = object.__new__(cls)
+        solution.__dict__.update(config=config, power=power)
+        return solution
 
 
 def _part_count(length: int) -> int:
@@ -130,18 +136,22 @@ def _run_parts(work, parts: int) -> None:
         raise errors[0]
 
 
-def _fold_half(z: np.ndarray, folded: np.ndarray, flip: np.ndarray) -> None:
-    """Fold z in place into [-pi/2, pi/2], writing its folded angles and flip mask.
+def _fold_half(z: np.ndarray, folded: np.ndarray | None = None,
+               flip: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Fold z in place into [-pi/2, pi/2]; returns its folded angles and flip mask.
 
     An entry is negated when its real part is negative, which leaves every
     real part at or above zero, so one atan2 lands in [-pi/2, pi/2]. Taking
     the atan2 against |re| keeps a -0.0 real part from reading as pi.
-    Zero-magnitude entries fold to angle 0 with no flip.
+    Zero-magnitude entries fold to angle 0 with no flip. Writes into folded
+    and flip when given them.
     """
-    np.less(z.real, _ZERO, out=flip)
+    re = z.real  # a view: it sees the negation below
+    flip = np.less(re, _ZERO, out=flip)
     np.negative(z, out=z, where=flip)
-    np.abs(z.real, out=folded)
+    folded = np.abs(re, out=folded)
     np.arctan2(z.imag, folded, out=folded)
+    return folded, flip
 
 
 def _fold_top(z: np.ndarray, folded: np.ndarray, flip: np.ndarray) -> None:
@@ -155,14 +165,6 @@ def _fold_top(z: np.ndarray, folded: np.ndarray, flip: np.ndarray) -> None:
     folded[top] = -HALF_PI
     flip ^= top
     z[top] = -z[top]
-
-
-def _fold(z: np.ndarray, folded: np.ndarray, flip: np.ndarray) -> None:
-    """Fold z in place into [-pi/2, pi/2), entry by entry: _fold_half, then _fold_top."""
-    _fold_half(z, folded, flip)
-    # initial: a part may hold no entries
-    if np.maximum.reduce(folded, axis=None, initial=-HALF_PI) >= HALF_PI:
-        _fold_top(z, folded, flip)
 
 
 def _best_step_pattern(phi_bar: np.ndarray, parts: int | None = None) -> np.ndarray:
@@ -191,25 +193,24 @@ def _best_step_pattern(phi_bar: np.ndarray, parts: int | None = None) -> np.ndar
     length = phi_bar.shape[-1]
     if parts is None:
         parts = _part_count(length)
-    if parts > 1 and phi_bar.ndim > 1:
+    row = phi_bar.ndim == 1
+    if parts > 1 and not row:
         w = np.empty(phi_bar.shape[:-1] + (length - 1,), dtype=np.int64)
-        for row, out in zip(phi_bar, w):
-            out[...] = _best_step_pattern(row, parts)
+        for one, out in zip(phi_bar, w):
+            out[...] = _best_step_pattern(one, parts)
         return w
-    folded = np.empty(phi_bar.shape)
-    flip = np.empty(phi_bar.shape, dtype=bool)
     starts = 0
     # the fold negates phi_bar in place: afterwards every real part is >= 0
     if parts == 1:
-        _fold_half(phi_bar, folded, flip)
+        folded, flip = _fold_half(phi_bar)
         order = folded.argsort(-1)
         # a row's largest angle ends its order, so one lookup finds a +pi/2
         # that a reduce over the row would cost more to find; a row that holds
         # one folds it down and is sorted again
-        if (folded[order[-1]] if order.ndim == 1 else folded.max()) >= HALF_PI:
+        if (folded[order[-1]] if row else folded.max()) >= HALF_PI:
             _fold_top(phi_bar, folded, flip)
             order = folded.argsort(-1)
-        if order.ndim > 1:
+        if not row:
             # flat positions: take() on the flattened block gathers faster than
             # indexing a (T, N+1) array with two index arrays
             starts = np.arange(0, order.size, order.shape[-1])
@@ -221,8 +222,14 @@ def _best_step_pattern(phi_bar: np.ndarray, parts: int | None = None) -> np.ndar
     else:
         def fold(p):
             at = slice(length * p // parts, length * (p + 1) // parts)
-            _fold(phi_bar[at], folded[at], flip[at])
+            _fold_half(phi_bar[at], folded[at], flip[at])
+            # here, on the part's thread: one _fold_top pass over the joined
+            # row, on the calling thread, read solve-large solve_rel +5%
+            if folded[at].max(initial=-HALF_PI) >= HALF_PI:  # a part may be empty
+                _fold_top(phi_bar[at], folded[at], flip[at])
 
+        folded = np.empty(length)
+        flip = np.empty(length, dtype=bool)
         _run_parts(fold, parts)
         pivots = np.sort(folded[::max(1, length // _PIVOT_SAMPLE)])
         pivots = pivots[len(pivots) * np.arange(1, parts) // parts]
@@ -259,25 +266,34 @@ def _best_step_pattern(phi_bar: np.ndarray, parts: int | None = None) -> np.ndar
     # phi_bar and the order are done with: their buffers take 2 * prefix -
     # total and the scores, so no copy of the total is made
     twice = np.multiply(prefix, 2.0, out=phi_bar)
-    twice -= prefix[..., -1:]
+    # one row subtracts a scalar, which numpy does faster than a (1,) slice
+    twice -= prefix[-1] if row else prefix[:, -1:]
     scores = np.abs(twice, out=order.view(np.float64))
     del order, prefix, twice
-    # a split followed by an equal key lies inside a run: never the winner
-    scores[..., :-1][keys[..., 1:] == keys[..., :-1]] = -1.0
-    # the winner k is a run end, so the winning prefix holds exactly the
+    # a split followed by an equal key lies inside a run: never the winner.
+    # The winner k is a run end, so the winning prefix holds exactly the
     # entries whose key is at most keys[k]: +1 there, unless the fold flipped it
-    if keys.ndim == 1:
-        # one row: a Python float, which numpy compares faster than a (1,) array
+    if row:
+        # plain slices, each about 0.1 us cheaper than one with an Ellipsis,
+        # and a Python float, which numpy compares faster than a (1,) array
+        np.copyto(scores[:-1], -1.0, where=keys[1:] == keys[:-1])
         bound = float(keys[scores.argmax()])
     else:
+        np.copyto(scores[:, :-1], -1.0, where=keys[:, 1:] == keys[:, :-1])
         bound = keys.take(starts + scores.argmax(-1))[:, None]
     del keys, scores
-    flip ^= folded <= bound  # flip now holds the winning sign vector
-    # +1 where the winning sign vector agrees with its last (direct-link) entry
-    w = np.empty(phi_bar.shape[:-1] + (length - 1,), dtype=np.int64)
-    np.equal(flip[..., :-1], flip[..., -1:], out=w)
-    w *= 2
-    w -= 1
+    # flip becomes the winning sign vector's -1 entries: in the prefix and
+    # flipped by the fold, or neither
+    minus = np.equal(folded <= bound, flip, out=flip)
+    # +1 where an entry's sign agrees with its direct-link entry's; one row
+    # reads that sign as a Python bool, for w = 2 * minus - 1 or 1 - 2 * minus
+    if row:
+        one = -1 if minus[-1] else 1
+        w = np.multiply(minus[:-1], -2 * one, dtype=np.int64)
+    else:
+        one = -1
+        w = np.multiply(minus[:, :-1] == minus[:, -1:], 2, dtype=np.int64)
+    w += one
     return w
 
 
@@ -286,11 +302,12 @@ def das_solve(ch: ChannelRealization) -> DasSolution:
 
     Composes the composite-vector reduction and the sweep, which returns the
     configuration; O(N log N) total. The returned power is exact for the
-    returned configuration (it is re-evaluated against the channel), and a
-    power that overflows a float raises ValueError.
+    returned configuration (received_power's formula and bits, without its
+    shape check), and a power that overflows a float raises ValueError.
     """
-    config = PhaseConfig._trusted(_best_step_pattern(composite_phi(ch)))
-    return DasSolution(config=config, power=received_power(ch, config))
+    w = _best_step_pattern(composite_phi(ch))
+    return DasSolution._trusted(PhaseConfig._trusted(w),
+                                _power(ch.h_r, w * ch.g, ch.h_d, ch.tx_power))
 
 
 def das_solve_block(

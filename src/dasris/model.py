@@ -139,6 +139,17 @@ class PhaseConfig:
 _OVERFLOW = "composite coefficient conj(h_r) * g overflows a float"
 
 
+# a decorator sets numpy's error state per call, so threads may run what it
+# wraps at once: a shared with-block object raises TypeError on a second entry
+_overflow_quiet = np.errstate(over="ignore", invalid="ignore")
+
+
+@_overflow_quiet
+def _product(h_r: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The composite product conj(h_r) * g; an overflow gives inf or nan, not a warning."""
+    return np.multiply(np.conj(h_r), g, out)
+
+
 def _composite(g: np.ndarray, h_r: np.ndarray, h_d) -> np.ndarray:
     """phi_bar = (conj(h_r) * g, conj(h_d)) along the last axis, each row rescaled.
 
@@ -149,21 +160,22 @@ def _composite(g: np.ndarray, h_r: np.ndarray, h_d) -> np.ndarray:
     Every pass runs over whole rows on the calling thread, at any length:
     of a long solve's passes only das's fold and sort are split.
     """
-    phi_bar = np.empty(g.shape[:-1] + (g.shape[-1] + 1,), dtype=complex)
-    # written straight into phi_bar, so phi needs no copy of its own; an
-    # overflow shows as a non-finite top below, not as a numpy warning.
+    row = g.ndim == 1  # a row's shape and slices cost less without an Ellipsis
+    phi_bar = np.empty(len(g) + 1 if row else g.shape[:-1] + (g.shape[-1] + 1,), dtype=complex)
+    # _product writes straight into phi_bar, so phi needs no copy of its
+    # own, and an overflow shows as a non-finite top below.
     # Not in place: conjugating h_r into phi_bar and multiplying there makes
     # numpy take another complex-multiply loop for a (T, 1) block's strided
     # column than for a channel alone; 15 of the 40 rows of
     # draw_channels(1, range(100, 140), beta_g=2) then differed from their
     # channel's composite by 1 ulp
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(np.conj(h_r), g, out=phi_bar[..., :-1])
+    # out by position: a keyword costs the decorator's wrapper a dict per call
+    _product(h_r, g, phi_bar[:-1] if row else phi_bar[..., :-1])
     phi_bar[..., -1] = h_d.conjugate()
     floats = phi_bar.view(np.float64)
     # ldexp, not a multiply by 2.0**-e, which overflows for a subnormal top;
     # frexp(0) gives exponent 0, so an all-zero row keeps its values
-    if floats.ndim == 1:
+    if row:
         # one row: the exponent of a Python float, not of a (1,) array, which
         # halves the rescale's cost (3.3 against 6.7 us at N = 64, timeit
         # best of 5); math.frexp and np.frexp agree down to the smallest

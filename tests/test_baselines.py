@@ -228,6 +228,14 @@ def test_continuous_upper_bound_rejects_overflow():
         continuous_upper_bound(huge)
 
 
+def test_continuous_upper_bound_rejects_a_magnitude_sum_past_the_largest_float():
+    # every product is finite, but the magnitudes sum past the largest float;
+    # the sum runs under the same overflow guard as the product, so numpy
+    # does not warn (warnings are errors here) before the ValueError
+    ch = make_channel([1e160, 1e160], [1.5e148, 1.5e148], 0)
+    with pytest.raises(ValueError, match="overflow"):
+        continuous_upper_bound(ch)
+
 def test_dominance_chain_on_random_instances():
     rng = np.random.default_rng(99)
     strict = 0

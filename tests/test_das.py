@@ -1,7 +1,11 @@
 import cmath
+import dataclasses
 import hashlib
 import itertools
 import math
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +20,14 @@ from candidate_route import (
     sort_folded,
 )
 from dasris.baselines import continuous_upper_bound, exhaustive_search
-from dasris.das import _PART_MIN, das_solve, das_solve_block
+from dasris.das import (
+    _PART_MIN,
+    DasSolution,
+    _fold_half,
+    _fold_top,
+    das_solve,
+    das_solve_block,
+)
 from dasris.model import (
     ChannelParams,
     ChannelRealization,
@@ -518,6 +529,119 @@ def test_das_solve_block_rejects_an_overflowing_row():
     g[2, 0] = h_r[2, 0] = 1e200  # the row's composite entry overflows a float
     with pytest.raises(ValueError, match="overflow"):
         das_solve_block(g, h_r, h_d, 1.0)
+
+
+def sweep_direct_link_sign(g, h_r, h_d, w):
+    """The direct-link entry's sign, +1 or -1, in the sweep's own sign vector.
+
+    The sweep's sign vector is +1, in folded terms, on exactly the entries
+    whose folded angle is at most the winning run end's, and w is that
+    vector divided by its last entry. So of the vector (w, 1) and its
+    negation, the sweep's is the one whose folded +1 entries are such a
+    prefix, and exactly one of them is.
+    """
+    phi_bar = _composite(g, h_r, h_d)
+    folded, flip = _fold_half(phi_bar)
+    _fold_top(phi_bar, folded, flip)
+    prefixes = []
+    for plus in (np.append(w == 1, True) ^ flip, np.append(w == -1, False) ^ flip):
+        prefixes.append(bool(plus.any())
+                        and np.array_equal(plus, folded <= folded[plus].max()))
+    assert prefixes.count(True) == 1
+    return 1 if prefixes[0] else -1
+
+
+def test_one_channel_configuration_is_its_block_row_with_either_direct_link_sign():
+    # das_solve builds w by one of two sign branches, picked by the sign the
+    # direct-link entry takes in the sweep's sign vector; das_solve_block
+    # builds every row by another route. Both must agree on Rayleigh rows,
+    # tie-heavy rows and rows with zero entries, and both branches must run
+    rng = np.random.default_rng(5151)
+    signs = {1: 0, -1: 0}
+    for n in (1, 2, 3, 8, 64):
+        blocks = []
+        for los in (True, False):
+            blocks.append(draw_channels(n, list(range(300, 340)), ChannelParams(los=los)))
+        rows = 24
+        g = TIE_MAGNITUDES[rng.integers(0, 3, (rows, n))] * TIE_GRID[rng.integers(0, 8, (rows, n))]
+        h_d = np.array(TIE_DIRECT_LINKS * (rows // len(TIE_DIRECT_LINKS)), dtype=complex)
+        blocks.append((g, np.ones((rows, n), dtype=complex), h_d))
+        g, h_r, h_d = (x.copy() for x in blocks[0])
+        g[:, ::2] = 0  # zero entries, and all-zero rows below
+        g[:4] = 0
+        h_d[:2] = 0
+        blocks.append((g, h_r, h_d))
+        for g, h_r, h_d in blocks:
+            assert_block_rows_match_das_solve(g, h_r, h_d)
+            w, _ = das_solve_block(g, h_r, h_d, 1.0)
+            for t in range(len(g)):
+                signs[sweep_direct_link_sign(g[t], h_r[t], h_d[t], w[t])] += 1
+    assert signs[1] > 0 and signs[-1] > 0, signs
+
+
+def test_das_solution_is_a_plain_frozen_dataclass():
+    ch = generate_channel(16, 4)
+    sol = das_solve(ch)
+    built = DasSolution(config=sol.config, power=sol.power)
+    assert type(sol) is DasSolution
+    assert repr(sol) == repr(built) and vars(sol).keys() == vars(built).keys()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sol.power = 0.0
+
+
+def test_threads_solve_at_once_and_keep_the_numpy_error_state():
+    # the composite's overflow guard sets numpy's error state per call: the
+    # threads solving an overflowing channel get ValueError, those solving a
+    # normal one keep its pinned answer, no RuntimeWarning is raised
+    # (warnings are errors here), and no thread's np.geterr() changes; four
+    # threads, more than a small machine's cores
+    good = make_channel([cmath.exp(1j * cmath.pi / 3), cmath.exp(-1j * cmath.pi / 4)],
+                        [1, 1], 0.5)
+    bad = make_channel([1e160, 2e160], [1e160, 1], 0)  # conj(h_r) * g overflows
+    before = np.geterr()
+    pinned = das_solve(good)
+    assert np.geterr() == before
+    assert math.isclose(pinned.power, BRUTE_N2_ORACLE, rel_tol=1e-12)
+    with pytest.raises(ValueError, match="overflow"):
+        das_solve(bad)
+    assert np.geterr() == before
+    rounds = 400
+    channels = {"good0": good, "bad0": bad, "good1": good, "bad1": bad}
+    barrier = threading.Barrier(len(channels), timeout=30)
+    results = {}
+
+    def solve(name, ch):
+        state = np.geterr()
+        answers = []
+        barrier.wait()
+        for _ in range(rounds):
+            try:
+                sol = das_solve(ch)
+                answers.append((sol.config.w.tobytes(), sol.power))
+            except ValueError as exc:
+                answers.append(str(exc))
+            assert np.geterr() == state
+        results[name] = answers
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the GIL over as often as possible
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            threads = [threading.Thread(target=solve, args=item) for item in channels.items()]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for name in ("good0", "good1"):
+        assert results[name] == [(pinned.config.w.tobytes(), pinned.power)] * rounds
+    for name in ("bad0", "bad1"):
+        assert len(results[name]) == rounds
+        assert all("overflow" in answer for answer in results[name])
+    assert np.geterr() == before
 
 
 def pinned_channels():
