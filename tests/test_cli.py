@@ -15,6 +15,12 @@ hd,1.0,0.0,1.0,1.0
 """
 
 
+def read_rows(path, reader=csv.reader):
+    """Every row of a CSV file, read inside a with block so the file is closed."""
+    with open(path) as fp:
+        return list(reader(fp))
+
+
 @pytest.fixture
 def single_element_channel(tmp_path):
     path = tmp_path / "chan.csv"
@@ -123,7 +129,7 @@ def test_exhaustive_limit_is_not_an_option(command, capsys):
 def test_gen_writes_channel(tmp_path, capsys):
     out = tmp_path / "chan.csv"
     assert main(["gen", "--n", "8", "--seed", "5", "--out", str(out)]) == 0
-    rows = list(csv.reader(open(out)))
+    rows = read_rows(out)
     assert rows[0] == ["idx", "g_re", "g_im", "hr_re", "hr_im"]
     assert len(rows) == 10
     assert rows[-1][0] == "hd"
@@ -143,7 +149,7 @@ def test_gen_rejects_zero_elements(tmp_path, capsys):
 def test_gen_no_los_writes_zero_direct_link(tmp_path):
     out = tmp_path / "chan.csv"
     assert main(["gen", "--n", "3", "--no-los", "--out", str(out)]) == 0
-    footer = list(csv.reader(open(out)))[-1]
+    footer = read_rows(out)[-1]
     assert footer[0] == "hd"
     assert float(footer[1]) == 0.0
     assert float(footer[2]) == 0.0
@@ -158,8 +164,8 @@ def test_bench_writes_both_csvs(tmp_path, capsys):
     code = main(["bench", "--n", "4,6", "--trials", "3", "--seed", "1",
                  "--methods", "das,greedy", "--out", str(out)])
     assert code == 0
-    trials = list(csv.reader(open(out / "trials.csv")))
-    agg = list(csv.reader(open(out / "aggregate.csv")))
+    trials = read_rows(out / "trials.csv")
+    agg = read_rows(out / "aggregate.csv")
     assert trials[0] == ["n", "trial", "method", "power", "snr_db", "wall_time_s"]
     assert len(trials) == 1 + 2 * 3 * 2
     assert agg[0] == ["n", "method", "mean_snr_db", "mean_power",
@@ -213,7 +219,7 @@ def test_bench_snr_outside_the_double_range_is_finite(tmp_path, capsys):
                  "--beta-r", "1e-150", "--beta-d", "0", "--noise-power", "1e300",
                  "--out", str(out)])
     assert code == 0
-    rows = list(csv.DictReader(open(out / "trials.csv")))
+    rows = read_rows(out / "trials.csv", csv.DictReader)
     assert len(rows) == 2
     for row in rows:
         assert float(row["power"]) > 0 and -7000 < float(row["snr_db"]) < -5000
@@ -319,8 +325,8 @@ def test_no_los_flag_changes_bench_results(tmp_path):
                  "--out", str(out_a)]) == 0
     assert main(["bench", "--n", "4", "--trials", "2", "--seed", "1", "--no-los",
                  "--out", str(out_b)]) == 0
-    rows_a = list(csv.reader(open(out_a / "trials.csv")))
-    rows_b = list(csv.reader(open(out_b / "trials.csv")))
+    rows_a = read_rows(out_a / "trials.csv")
+    rows_b = read_rows(out_b / "trials.csv")
     assert [r[3] for r in rows_a[1:]] != [r[3] for r in rows_b[1:]]
 
 
@@ -337,7 +343,7 @@ def test_main_keeps_one_parser_and_no_state_between_calls(tmp_path):
     # the second call wrote what a fresh process writes for the same argv
     subprocess.run([sys.executable, "-m", "dasris.cli"] + argv + [str(tmp_path / "c")],
                    check=True, capture_output=True)
-    rows_b = [r[:5] for r in csv.reader(open(tmp_path / "b" / "trials.csv"))]
-    rows_c = [r[:5] for r in csv.reader(open(tmp_path / "c" / "trials.csv"))]
+    rows_b = [r[:5] for r in read_rows(tmp_path / "b" / "trials.csv")]
+    rows_c = [r[:5] for r in read_rows(tmp_path / "c" / "trials.csv")]
     assert rows_b == rows_c
     assert {r[2] for r in rows_b[1:]} == {"das"}

@@ -529,6 +529,71 @@ def test_das_solve_block_rejects_an_overflowing_row():
     g[2, 0] = h_r[2, 0] = 1e200  # the row's composite entry overflows a float
     with pytest.raises(ValueError, match="overflow"):
         das_solve_block(g, h_r, h_d, 1.0)
+    # a NaN row and an inf row: the message names a non-finite input too
+    for block, value in ((0, math.nan), (1, math.inf), (2, math.nan)):
+        g, h_r, h_d = draw_channels(8, [1, 2, 3], ChannelParams())
+        (g, h_r, h_d)[block][1, ...] = value
+        with pytest.raises(ValueError, match="overflow.*NaN or inf"):
+            das_solve_block(g, h_r, h_d, 1.0)
+
+
+def test_das_solve_block_rejects_blocks_whose_row_counts_differ():
+    g, h_r, h_d = draw_channels(8, [1, 2, 3], ChannelParams())
+    for rows in ((1, 1, 3), (1, 2, 1), (2, 2, 3), (0, 0, 1)):
+        with pytest.raises(ValueError):
+            das_solve_block(g[:rows[0]], h_r[:rows[1]], h_d[:rows[2]], 1.0)
+
+
+def test_das_solve_block_of_no_rows_gives_no_configurations():
+    for n, los in ((1, True), (16, True), (16, False)):
+        g, h_r, h_d = draw_channels(n, [], ChannelParams(los=los))
+        w, powers = das_solve_block(g, h_r, h_d, 1.0)
+        assert w.shape == (0, n) and w.dtype == np.int64 and powers == []
+
+
+def one_row_block_cases(rng, n):
+    """(g, h_r, h_d) blocks: Rayleigh rows with and without a direct link,
+    tie-heavy rows, all-zero rows and rows scaled by about 2^-500 and 2^500."""
+    for los in (True, False):
+        yield draw_channels(n, list(range(400, 404)), ChannelParams(los=los))
+    rows = 8
+    g = TIE_MAGNITUDES[rng.integers(0, 3, (rows, n))] * TIE_GRID[rng.integers(0, 8, (rows, n))]
+    h_d = np.array(TIE_DIRECT_LINKS * (rows // len(TIE_DIRECT_LINKS)), dtype=complex)
+    g[:2] = 0
+    h_d[0] = 0
+    yield g, np.ones((rows, n), dtype=complex), h_d
+    g, h_r, h_d = draw_channels(n, list(range(410, 414)), ChannelParams())
+    # 2^500 less the bits that a sum of n entries adds: the power stays finite
+    scale = np.ldexp(1.0, np.array([-500, 500, -500, 500]) - [0, n.bit_length()] * 2)
+    yield g * scale[:, None], h_r, h_d * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 20, 64, (1 << 14) - 1, 1 << 14, (1 << 14) + 1])
+def test_one_row_block_is_its_row_of_the_block_and_das_solve(n):
+    # a one-row block runs das_solve's one-row calls, a longer block the
+    # block route: both give every row das_solve's bits
+    rng = np.random.default_rng(n)
+    for g, h_r, h_d in one_row_block_cases(rng, n):
+        w_block, powers_block = das_solve_block(g, h_r, h_d, 2.0)
+        for t in range(len(g)):
+            w, powers = das_solve_block(g[t:t + 1], h_r[t:t + 1], h_d[t:t + 1], 2.0)
+            assert w.shape == (1, n) and w.dtype == np.int64 and w.flags.c_contiguous
+            assert type(powers) is list and len(powers) == 1 and type(powers[0]) is float
+            assert w.tobytes() == w_block[t].tobytes() and powers[0] == powers_block[t], t
+            sol = das_solve(ChannelRealization(g=g[t], h_r=h_r[t], h_d=h_d[t],
+                                               noise_power=1.0, tx_power=2.0))
+            assert w[0].tobytes() == sol.config.w.tobytes() and powers[0] == sol.power, t
+
+
+def test_one_row_block_rejects_an_overflowing_row():
+    g, h_r, h_d = draw_channels(8, [1], ChannelParams())
+    g[0, 0] = h_r[0, 0] = 1e200  # the composite entry overflows a float
+    with pytest.raises(ValueError, match="overflow"):
+        das_solve_block(g, h_r, h_d, 1.0)
+    g, h_r, h_d = draw_channels(8, [1], ChannelParams())
+    h_d[0] = 1e160  # the power overflows a float
+    with pytest.raises(ValueError, match="overflow"):
+        das_solve_block(g, h_r, h_d, 1.0)
 
 
 def sweep_direct_link_sign(g, h_r, h_d, w):

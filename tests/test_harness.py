@@ -23,7 +23,8 @@ from dasris.harness import (
     write_aggregate_csv,
     write_trial_csv,
 )
-from dasris.model import _BLOCK_ROWS, ChannelParams, _fmt, generate_channel
+from dasris.das import das_solve
+from dasris.model import _BLOCK_ROWS, ChannelParams, _fmt, generate_channel, snr_db
 
 
 def small_plan(**overrides):
@@ -160,6 +161,22 @@ def test_run_plan_splits_large_sizes_into_cells(monkeypatch):
     assert blocks == [(4, 4), (3, 4), (3, 6), (3, 6), (1, 6), (2, 9), (2, 9), (2, 9), (1, 9)]
     assert [(r.n, r.trial, r.method, r.power, r.snr_db) for r in split] == \
         [(r.n, r.trial, r.method, r.power, r.snr_db) for r in whole]
+
+
+@pytest.mark.parametrize("n", [16, 1 << 14])
+def test_one_trial_cells_give_the_records_of_a_longer_cell(n):
+    # trials=1 runs das on a one-row block, as does every cell of a size of
+    # at least CELL_ELEMENTS; at n = 16 the trials=7 plan runs one 7-row
+    # block. Each trial's power is das_solve's on its own channel either way
+    params = ChannelParams()
+    seven = run_plan(ExperimentPlan(n_values=(n,), trials=7, base_seed=5))
+    one = run_plan(ExperimentPlan(n_values=(n,), trials=1, base_seed=5))
+    assert [(r.trial, r.power, r.snr_db) for r in one] == \
+        [(r.trial, r.power, r.snr_db) for r in seven[:1]]
+    for rec in seven:
+        ch = generate_channel(n, trial_seeds(5, n, rec.trial)[0], params)
+        assert type(rec.power) is float and rec.power == das_solve(ch).power
+        assert rec.snr_db == snr_db(rec.power, params.noise_power)
 
 
 def test_trial_seeds_distinct_and_stable():
