@@ -28,12 +28,17 @@ produces. The prefix sum at a run end adds up the same entries whatever
 the order inside the run, so the winner does not depend on that order,
 and the solver can use numpy's default (unstable) argsort.
 
-A long row splits two passes over threads, the fold and the sort, the two
-that a second core repays. The fold splits by position. The sort splits by
-key range: each range holds every copy of its keys, so the ranges sorted
-one by one and laid end to end put the same run ends in the same places as
-one sort of the row. Every other pass, the prefix sum included, runs once
-over the whole row on the calling thread.
+A long row, one of N+1 >= 2 * model._PART_MIN entries, splits two passes
+over threads, the fold and the sort, the two that a second core repays. The
+fold splits by position. The sort splits by key range: each range holds
+every copy of its keys, so the ranges sorted one by one and laid end to end
+put the same run ends in the same places as one sort of the row. Every
+other pass, the prefix sum included, runs once over the whole row on the
+calling thread. A long row also allocates no row-length buffer that it
+reads only once: model._composite builds the composite with no temporary,
+each range sorts its own keys in place instead of gathering them across
+the row, and das_solve writes the power's w * g into the composite that
+the sweep has spent. Each gives the short route's bits.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .model import (
     ChannelRealization,
     PhaseConfig,
@@ -58,11 +64,6 @@ HALF_PI = np.pi / 2.0
 _ZERO = np.float64(0.0)
 # entries in the strided sample whose quantiles are a split sort's pivots
 _PIVOT_SAMPLE = 4096
-# a long row's fold and sort run as parts of at least this many entries, one
-# per usable CPU: below that, thread start-up, GIL hand-offs and page faults
-# on the split's buffers cost more than a second core saves (one part
-# against two timed with das_solve at N = 2^14 to 2^21, see CHANGES.md)
-_PART_MIN = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,8 @@ class DasSolution:
 
 
 def _part_count(length: int) -> int:
-    """How many parts a row of length entries runs as: 1 below 2 * _PART_MIN."""
-    parts = length // _PART_MIN
+    """How many parts a row of length entries runs as: 1 below 2 * model._PART_MIN."""
+    parts = length // model._PART_MIN
     if parts < 2:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -187,8 +188,9 @@ def _best_step_pattern(phi_bar: np.ndarray, parts: int | None = None) -> np.ndar
     parts - 1 pivots taken from a fixed strided sample of the folded angles:
     range p holds the keys k with pivots[p-1] <= k < pivots[p], so equal
     keys never straddle two ranges, and the ranges sorted one by one and
-    laid end to end are the whole row sorted. A block with more than one
-    part is solved row by row.
+    laid end to end are the whole row sorted. Each range argsorts its keys
+    for the order and then sorts them in place, as the keys are only ever
+    compared. A block with more than one part is solved row by row.
     """
     length = phi_bar.shape[-1]
     if parts is None:
@@ -256,7 +258,9 @@ def _best_step_pattern(phi_bar: np.ndarray, parts: int | None = None) -> np.ndar
             # mode="clip" writes straight into out; "raise" would buffer a copy
             folded.take(positions, out=keys[at], mode="clip")
             positions.take(keys[at].argsort(), out=order[at], mode="clip")
-            folded.take(order[at], out=keys[at], mode="clip")
+            # the keys in order, without a gather across the row: they are
+            # only compared, so a +0.0 and a -0.0 may trade places
+            keys[at].sort()
             phi_bar.take(order[at], out=prefix[at], mode="clip")
 
         _run_parts(sort, parts)
@@ -297,6 +301,21 @@ def _best_step_pattern(phi_bar: np.ndarray, parts: int | None = None) -> np.ndar
     return w
 
 
+def _solve_row(phi_bar: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The optimal configuration w of one composite row, and w * g for its power.
+
+    A short row runs as one part without asking _part_count, which would
+    say so at a call's cost. A long row writes w * g into its composite,
+    which the sweep has spent: the same bits as a fresh product, without
+    faulting in another row.
+    """
+    if len(phi_bar) < 2 * model._PART_MIN:
+        w = _best_step_pattern(phi_bar, 1)
+        return w, w * g
+    w = _best_step_pattern(phi_bar)
+    return w, np.multiply(w, g, phi_bar[:-1])
+
+
 def das_solve(ch: ChannelRealization) -> DasSolution:
     """Find the received-power-maximizing binary configuration.
 
@@ -305,9 +324,9 @@ def das_solve(ch: ChannelRealization) -> DasSolution:
     returned configuration (received_power's formula and bits, without its
     shape check), and a power that overflows a float raises ValueError.
     """
-    w = _best_step_pattern(composite_phi(ch))
+    w, wg = _solve_row(composite_phi(ch), ch.g)
     return DasSolution._trusted(PhaseConfig._trusted(w),
-                                _power(ch.h_r, w * ch.g, ch.h_d, ch.tx_power))
+                                _power(ch.h_r, wg, ch.h_d, ch.tx_power))
 
 
 def das_solve_block(
@@ -331,8 +350,8 @@ def das_solve_block(
         # a Python complex, as ChannelRealization holds it: a numpy scalar
         # would make the power a np.float64
         g0, h_r0, h_d0 = g[0], h_r[0], complex(h_d[0])
-        w = _best_step_pattern(_composite(g0, h_r0, h_d0))
-        return w[None], [_power(h_r0, w * g0, h_d0, tx_power)]
+        w, wg = _solve_row(_composite(g0, h_r0, h_d0), g0)
+        return w[None], [_power(h_r0, wg, h_d0, tx_power)]
     if len(g) == len(h_r) == len(h_d) == 0:
         return np.empty(g.shape, dtype=np.int64), []
     w = _best_step_pattern(_composite(g, h_r, h_d))

@@ -21,7 +21,6 @@ from candidate_route import (
 )
 from dasris.baselines import continuous_upper_bound, exhaustive_search
 from dasris.das import (
-    _PART_MIN,
     DasSolution,
     _fold_half,
     _fold_top,
@@ -29,6 +28,7 @@ from dasris.das import (
     das_solve_block,
 )
 from dasris.model import (
+    _PART_MIN,
     ChannelParams,
     ChannelRealization,
     PhaseConfig,
@@ -743,3 +743,32 @@ def test_das_solve_configs_and_powers_are_pinned():
         digest.update(sol.config.w.tobytes())
         digest.update(repr(sol.power).encode())
     assert digest.hexdigest() == DAS_SHA256
+
+
+def long_channels():
+    """Long channels, at N+1 = 2^20 and 2^20 + 1: Rayleigh with and without a
+    direct link, tie-heavy, and scaled by 2^-500 or about 2^500."""
+    rng = np.random.default_rng(1 << 20)
+    for n in ((1 << 20) - 1, 1 << 20):
+        for los in (True, False):
+            yield generate_channel(n, 9300 + n % 7 + los, ChannelParams(los=los))
+        yield tie_heavy_channel(rng, n, -1j)
+        # 2^500 less the bits that a sum of n entries adds: the power stays finite
+        k = -500 if n % 2 else 500 - n.bit_length()
+        yield scaled_channel(generate_channel(n, 9400 + n % 7), math.ldexp(1.0, k))
+
+
+# sha256 of das_solve's configurations and powers on long_channels(), taken
+# before a long row dropped its composite's temporaries and its power's
+# product, and before its split sort stopped gathering its keys; the same at
+# one, two and three parts
+LONG_SHA256 = "7046878524e2229cba51c793c9cd951c26fb5b77a9c1bdae4957b297bf4bb0a9"
+
+
+def test_long_das_solve_configs_and_powers_are_pinned():
+    digest = hashlib.sha256()
+    for ch in long_channels():
+        sol = das_solve(ch)
+        digest.update(sol.config.w.tobytes())
+        digest.update(repr(sol.power).encode())
+    assert digest.hexdigest() == LONG_SHA256

@@ -1,15 +1,18 @@
-"""The split route: a long row's fold and sort run as parts, on threads of their own.
+"""The long route: a long row's fold and sort run as parts, on threads of their own.
 
 The kernel takes the part count, so these tests run it at 1 to 4 parts on
 small channels, whatever the machine's core count. Which route a solve takes
 by default is pinned at the crossover length, where _part_count first
-returns more than one part.
+returns more than one part. The same length makes a row long for the
+composite and the power, which then allocate no row-length temporaries;
+the tests force that length down to reach those forms on small rows.
 """
 
 import math
 import os
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +20,7 @@ import pytest
 from hypothesis import given, seed, settings
 
 import dasris.das as das
+import dasris.model as model
 from dasris.baselines import exhaustive_search
 from dasris.das import _best_step_pattern, _part_count, _run_parts, das_solve, das_solve_block
 from dasris.harness import ExperimentPlan, run_plan
@@ -24,11 +28,18 @@ from dasris.model import (
     ChannelParams,
     PhaseConfig,
     _composite,
+    composite_phi,
     draw_channels,
     generate_channel,
     received_power,
 )
-from test_das import TIE_DIRECT_LINKS, adversarial_channels, make_channel, tie_heavy_channel
+from test_das import (
+    TIE_DIRECT_LINKS,
+    adversarial_channels,
+    make_channel,
+    scaled_channel,
+    tie_heavy_channel,
+)
 
 PARTS = (1, 2, 3, 4)
 
@@ -51,9 +62,9 @@ def both_threads(parts=2):
 
 def test_part_count_splits_from_the_crossover_length():
     cores = len(os.sched_getaffinity(0))
-    assert _part_count(2 * das._PART_MIN - 1) == 1
-    assert _part_count(2 * das._PART_MIN) == min(2, cores)
-    assert _part_count(8 * das._PART_MIN) == min(8, cores)
+    assert _part_count(2 * model._PART_MIN - 1) == 1
+    assert _part_count(2 * model._PART_MIN) == min(2, cores)
+    assert _part_count(8 * model._PART_MIN) == min(8, cores)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 100, 1000, 4097])
@@ -166,7 +177,9 @@ def test_a_split_solve_starts_threads_for_the_fold_and_the_sort_only(monkeypatch
         return start(*args)
 
     monkeypatch.setattr(das._thread, "start_new_thread", count)
-    # the part count forced, so the count holds on any number of cores
+    # the row made long and its part count forced, so the count holds on any
+    # number of cores
+    monkeypatch.setattr(model, "_PART_MIN", 64)
     monkeypatch.setattr(das, "_part_count", lambda length: parts)
     ch = generate_channel(1000, 21)
     assert das_solve(ch).config.w.tobytes() == solve_in_parts(ch, 1)[0].tobytes()
@@ -228,13 +241,13 @@ def test_an_overflowing_composite_on_the_split_path_raises_without_a_warning(mon
     g[0, ::7] = h_r[0, ::7] = 1e200  # overflowing products all along the row
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        monkeypatch.setattr(das, "_PART_MIN", 8)  # every solve splits
+        monkeypatch.setattr(model, "_PART_MIN", 8)  # every solve splits
         with pytest.raises(ValueError, match="overflow"):
             das_solve_block(g, h_r, h_d, 1.0)
 
 
 def test_no_thread_outlives_a_split_solve(monkeypatch):
-    monkeypatch.setattr(das, "_PART_MIN", 64)  # every solve below splits
+    monkeypatch.setattr(model, "_PART_MIN", 64)  # every solve below splits
     before = threading.active_count()
     ch = generate_channel(1000, 8)
     sol = das_solve(ch)
@@ -244,3 +257,81 @@ def test_no_thread_outlives_a_split_solve(monkeypatch):
     das_solve_block(g, h_r, h_d, 1.0)
     assert threading.active_count() == before
     assert sol.power == solve_in_parts(ch, 1)[1]
+
+
+def hard_rows(n):
+    """Channels of n elements whose every entry, product and sum is exact, so no
+    loop and no order of a sum can round them another way: tie-heavy rows of
+    Gaussian integers, zero entries, +-0.0 imaginary parts in g and h_r,
+    +-pi/2 angles and a 2^-500 scale."""
+    rng = np.random.default_rng(n)
+    grid = np.array([1, 1 + 1j, 1j, -1 + 1j, -1, -1 - 1j, -1j, 1 - 1j])
+    for h_d in TIE_DIRECT_LINKS:
+        yield make_channel(rng.integers(0, 3, n) * grid[rng.integers(0, 8, n)], np.ones(n), h_d)
+    signs = rng.choice([1.0, -1.0], n)
+    real = [complex(x, math.copysign(0.0, s)) for x, s in zip(rng.integers(0, 4, n), signs)]
+    yield make_channel(real, [complex(1, math.copysign(0.0, -s)) for s in signs], -0.0j)
+    yield make_channel(rng.integers(-3, 4, n) * 1j, np.ones(n), 1j)
+    yield make_channel(np.zeros(n), np.ones(n), 0.5)
+    yield scaled_channel(make_channel(rng.integers(-2, 3, n) + 0j, np.ones(n), -1j), 2.0**-500)
+
+
+def route_bits(ch):
+    """The bytes of everything a solve of ch returns: alone, as a one-row block
+    and as a row of a two-row block."""
+    g = np.vstack((ch.g, ch.g[::-1]))
+    h_r = np.vstack((ch.h_r, ch.h_r[::-1]))
+    h_d = np.array([ch.h_d, -ch.h_d])
+    sol = das_solve(ch)
+    blocks = [das_solve_block(g[:rows], h_r[:rows], h_d[:rows], ch.tx_power) for rows in (1, 2)]
+    return (composite_phi(ch).tobytes(), sol.config.w.tobytes(), repr(sol.power),
+            *((w.tobytes(), repr(powers)) for w, powers in blocks))
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 257])
+def test_long_rows_take_the_short_routes_bits(monkeypatch, n, parts):
+    # the composite, top and power of a long row, and its split sort, which
+    # sorts +0.0 and -0.0 keys in any order, against the short route. Exact
+    # rows give the same bits at any part count, and so do Rayleigh rows,
+    # whose folded angles differ; those from two entries: numpy multiplies a
+    # lone entry in place by a loop without a fused multiply-add, which is
+    # why the long forms stay on long rows
+    channels = list(hard_rows(n))
+    if n > 1:
+        channels += [generate_channel(n, 77 + los, ChannelParams(los=los)) for los in (True, False)]
+        rayleigh = channels[-1]
+        channels.append(make_channel(rayleigh.g * 1j, rayleigh.h_r, 0))  # angles near +-pi/2
+    short = [route_bits(ch) for ch in channels]
+    monkeypatch.setattr(model, "_PART_MIN", 1)  # every row is long
+    monkeypatch.setattr(das, "_part_count", lambda length: parts)
+    for ch, bits in zip(channels, short):
+        assert route_bits(ch) == bits
+
+
+def test_a_long_row_that_overflows_or_holds_a_nan_or_inf_raises_without_a_warning(monkeypatch):
+    monkeypatch.setattr(model, "_PART_MIN", 4)  # rows of 8 or more entries are long
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bad = make_channel([1e160, 2e160] * 8, [1e160, 1] * 8, 0)  # conj(h_r) * g overflows
+        with pytest.raises(ValueError, match="overflow"):
+            das_solve(bad)
+        for block, value in ((0, math.nan), (1, math.inf), (0, -math.inf), (2, math.nan)):
+            g, h_r, h_d = draw_channels(16, [1], ChannelParams())
+            (g, h_r, h_d)[block][0, ...] = value
+            with pytest.raises(ValueError, match="overflow.*NaN or inf"):
+                das_solve_block(g, h_r, h_d, 1.0)
+
+
+@pytest.mark.parametrize("n", [2 * model._PART_MIN - 1, 1 << 20])
+def test_a_long_composite_allocates_only_its_result(n):
+    # a row-length temporary in the product or the top would double the peak
+    ch = generate_channel(n, 5)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        phi_bar = composite_phi(ch)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert phi_bar.nbytes <= peak < phi_bar.nbytes + (1 << 16)
