@@ -28,17 +28,18 @@ produces. The prefix sum at a run end adds up the same entries whatever
 the order inside the run, so the winner does not depend on that order,
 and the solver can use numpy's default (unstable) argsort.
 
-A long row, one of N+1 >= 2 * model._PART_MIN entries, splits two passes
-over threads, the fold and the sort, the two that a second core repays. The
-fold splits by position. The sort splits by key range: each range holds
-every copy of its keys, so the ranges sorted one by one and laid end to end
-put the same run ends in the same places as one sort of the row. Every
-other pass, the prefix sum included, runs once over the whole row on the
-calling thread. A long row also allocates no row-length buffer that it
-reads only once: model._composite builds the composite with no temporary,
-each range sorts its own keys in place instead of gathering them across
-the row, and das_solve writes the power's w * g into the composite that
-the sweep has spent. Each gives the short route's bits.
+A long row, one of N+1 >= 2 * model._PART_MIN entries (model._long, the
+one test of that length), splits two passes over threads, the fold and the
+sort, the two that a second core repays. The fold splits by position. The
+sort splits by key range: each range holds every copy of its keys, so the
+ranges sorted one by one and laid end to end put the same run ends in the
+same places as one sort of the row. Every other pass, the prefix sum
+included, runs once over the whole row on the calling thread. A long row
+also allocates no row-length buffer that it reads only once:
+model._composite builds the composite with no temporary, each range sorts
+its own keys in place instead of gathering them across the row, and
+das_solve writes the power's w * g into the composite that the sweep has
+spent. Each gives the short route's bits.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .model import (
     ChannelRealization,
     PhaseConfig,
     _composite,
+    _long,
     _power,
     composite_phi,
 )
@@ -82,12 +84,11 @@ class DasSolution:
 
 
 def _part_count(length: int) -> int:
-    """How many parts a row of length entries runs as: 1 below 2 * model._PART_MIN."""
-    parts = length // model._PART_MIN
-    if parts < 2:
+    """How many parts a row of length entries runs as: 1 unless the row is long."""
+    if not _long(length):
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(parts, cpus)
+    return min(length // model._PART_MIN, cpus)
 
 
 def _run_parts(work, parts: int) -> None:
@@ -307,9 +308,11 @@ def _solve_row(phi_bar: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarr
     A short row runs as one part without asking _part_count, which would
     say so at a call's cost. A long row writes w * g into its composite,
     which the sweep has spent: the same bits as a fresh product, without
-    faulting in another row.
+    faulting in another row. A short row keeps the fresh product: the
+    slice and out argument give the same bits but cost it 0.3 to 0.5 us
+    (das_solve 0.6% to 2.4% slower at N = 8 to 256, see CHANGES.md).
     """
-    if len(phi_bar) < 2 * model._PART_MIN:
+    if not _long(len(phi_bar)):
         w = _best_step_pattern(phi_bar, 1)
         return w, w * g
     w = _best_step_pattern(phi_bar)

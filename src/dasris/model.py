@@ -146,13 +146,20 @@ _OVERFLOW = ("composite coefficient conj(h_r) * g overflows a float, "
 _overflow_quiet = np.errstate(over="ignore", invalid="ignore")
 
 
-# A row of at least 2 * _PART_MIN entries is long. das runs its fold and sort
-# as parts of at least _PART_MIN entries, one per usable CPU: below that,
-# thread start-up, GIL hand-offs and page faults on the split's buffers cost
-# more than a second core saves (one part against two timed with das_solve at
-# N = 2^14 to 2^21, see CHANGES.md). _composite and das_solve build a long
-# row without the row-length temporaries that a short row reads once.
+# das runs a long row's fold and sort as parts of at least _PART_MIN entries,
+# one per usable CPU: below that, thread start-up, GIL hand-offs and page
+# faults on the split's buffers cost more than a second core saves (one part
+# against two timed with das_solve at N = 2^14 to 2^21, see CHANGES.md)
 _PART_MIN = 1 << 19
+
+
+def _long(length: int) -> bool:
+    """Whether a row of length entries is long: one that das splits into parts.
+
+    The one length test of the long route. _composite and das_solve build a
+    long row without the row-length temporaries that a short row reads once.
+    """
+    return length >= 2 * _PART_MIN
 
 
 @_overflow_quiet
@@ -184,7 +191,7 @@ def _composite(g: np.ndarray, h_r: np.ndarray, h_d) -> np.ndarray:
     when g, h_r or h_d holds a NaN or inf.
     Every pass runs over whole rows on the calling thread, at any length:
     of a long solve's passes only das's fold and sort are split.
-    A long row, one of N+1 >= 2 * _PART_MIN entries, allocates nothing but
+    A long row (_long(N+1): one that das splits) allocates nothing but
     its result, and gets the same bits as a short one: conj(h_r) goes
     straight into phi_bar and is multiplied by g there, and the top is the
     larger of the largest part and minus the smallest. A short row reduces
@@ -204,7 +211,7 @@ def _composite(g: np.ndarray, h_r: np.ndarray, h_d) -> np.ndarray:
         # and np.frexp agree down to the smallest subnormal
         length = len(g) + 1
         phi_bar = np.empty(length, dtype=complex)
-        long = length >= 2 * _PART_MIN
+        long = _long(length)
         if long:
             _product_in(h_r, g, phi_bar[:-1])
         else:
