@@ -28,36 +28,44 @@ produces. The prefix sum at a run end adds up the same entries whatever
 the order inside the run, so the winner does not depend on that order,
 and the solver can use numpy's default (unstable) argsort.
 
-A long row, one of N+1 >= 2 * model._PART_MIN entries (model._long, the
-one test of that length), splits two passes over threads, the fold and the
-sort, the two that a second core repays. The fold splits by position. The
-sort splits by key range: each range holds every copy of its keys, so the
+A long row, one of N+1 >= 2 * _PART_MIN entries (_long, the one test of
+that length), takes a route of its own, _solve_long. It builds its
+composite from (g, h_r, h_d) itself and runs every pass that can split
+without changing a bit as parts, on threads of their own: the product and
+its top, the rescale and the fold, the sort, the scores and their argmax,
+and the configuration with the power's w * g. The passes split by position
+are elementwise, or reductions whose result does not depend on how the row
+is cut: a max, and an argmax whose ties go to the lowest index. The sort
+splits by key range: each range holds every copy of its keys, so the
 ranges sorted one by one and laid end to end put the same run ends in the
-same places as one sort of the row. Every other pass, the prefix sum
-included, runs once over the whole row on the calling thread. A long row
-also allocates no row-length buffer that it reads only once:
-model._composite builds the composite with no temporary, each range sorts
-its own keys in place instead of gathering them across the row, and
-das_solve writes the power's w * g into the composite that the sweep has
-spent. Each gives the short route's bits.
+same places as one sort of the row. Two passes run once over the whole row
+on the calling thread, the prefix sum and the power's dot product: each is
+a sum whose rounding follows the order in which it adds, so splitting it
+would change its bits. A long row also allocates no row-length buffer that
+it reads only once: the product goes straight into the composite, each
+range sorts its own keys in place instead of gathering them across the
+row, and w * g is written into the composite that the sweep has spent.
+Each gives the short route's bits.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import _thread
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import model
 from .model import (
+    _OVERFLOW,
     ChannelRealization,
     PhaseConfig,
     _composite,
-    _long,
+    _overflow_quiet,
     _power,
+    _product,
     composite_phi,
 )
 
@@ -66,6 +74,11 @@ HALF_PI = np.pi / 2.0
 _ZERO = np.float64(0.0)
 # entries in the strided sample whose quantiles are a split sort's pivots
 _PIVOT_SAMPLE = 4096
+# a long row runs as parts of at least _PART_MIN entries, one per usable CPU:
+# below that, thread start-up, GIL hand-offs and page faults on the split's
+# buffers cost more than a second core saves (one part against two timed
+# with das_solve at N = 2^14 to 2^21, see CHANGES.md)
+_PART_MIN = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -83,12 +96,18 @@ class DasSolution:
         return solution
 
 
+def _long(length: int) -> bool:
+    """Whether a row of length entries is long: one that _solve_long runs as parts.
+
+    The one length test of the long route.
+    """
+    return length >= 2 * _PART_MIN
+
+
 def _part_count(length: int) -> int:
-    """How many parts a row of length entries runs as: 1 unless the row is long."""
-    if not _long(length):
-        return 1
+    """How many parts a long row of length entries runs as: at most one per usable CPU."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(length // model._PART_MIN, cpus)
+    return min(length // _PART_MIN, cpus)
 
 
 def _run_parts(work, parts: int) -> None:
@@ -169,7 +188,7 @@ def _fold_top(z: np.ndarray, folded: np.ndarray, flip: np.ndarray) -> None:
     z[top] = -z[top]
 
 
-def _best_step_pattern(phi_bar: np.ndarray, parts: int | None = None) -> np.ndarray:
+def _best_step_pattern(phi_bar: np.ndarray) -> np.ndarray:
     """Optimal configuration for each phi_bar along the last axis.
 
     phi_bar is one (N+1,) vector or a (T, N+1) block of them, and is
@@ -183,89 +202,29 @@ def _best_step_pattern(phi_bar: np.ndarray, parts: int | None = None) -> np.ndar
     wins ties. Returns the configuration w itself, int64 +-1: +1 where the
     winning sign vector agrees with its last (direct-link) entry.
 
-    A row runs its fold and its sort as parts parts (default
-    _part_count(N+1)); every other pass runs once over the whole row. The
-    fold splits the row by position. The sort splits it by key range, at
-    parts - 1 pivots taken from a fixed strided sample of the folded angles:
-    range p holds the keys k with pivots[p-1] <= k < pivots[p], so equal
-    keys never straddle two ranges, and the ranges sorted one by one and
-    laid end to end are the whole row sorted. Each range argsorts its keys
-    for the order and then sorts them in place, as the keys are only ever
-    compared. A block with more than one part is solved row by row.
+    Every pass runs once over the whole row or block, on the calling
+    thread: this is the short route. A long row goes through _solve_long.
     """
-    length = phi_bar.shape[-1]
-    if parts is None:
-        parts = _part_count(length)
     row = phi_bar.ndim == 1
-    if parts > 1 and not row:
-        w = np.empty(phi_bar.shape[:-1] + (length - 1,), dtype=np.int64)
-        for one, out in zip(phi_bar, w):
-            out[...] = _best_step_pattern(one, parts)
-        return w
     starts = 0
     # the fold negates phi_bar in place: afterwards every real part is >= 0
-    if parts == 1:
-        folded, flip = _fold_half(phi_bar)
+    folded, flip = _fold_half(phi_bar)
+    order = folded.argsort(-1)
+    # a row's largest angle ends its order, so one lookup finds a +pi/2
+    # that a reduce over the row would cost more to find; a row that holds
+    # one folds it down and is sorted again
+    if (folded[order[-1]] if row else folded.max()) >= HALF_PI:
+        _fold_top(phi_bar, folded, flip)
         order = folded.argsort(-1)
-        # a row's largest angle ends its order, so one lookup finds a +pi/2
-        # that a reduce over the row would cost more to find; a row that holds
-        # one folds it down and is sorted again
-        if (folded[order[-1]] if row else folded.max()) >= HALF_PI:
-            _fold_top(phi_bar, folded, flip)
-            order = folded.argsort(-1)
-        if not row:
-            # flat positions: take() on the flattened block gathers faster than
-            # indexing a (T, N+1) array with two index arrays
-            starts = np.arange(0, order.size, order.shape[-1])
-            order += starts[:, None]
-        # in place, and each buffer dropped or reused once done with, to keep
-        # the peak low
-        prefix = phi_bar.take(order)
-        keys = folded.take(order)
-    else:
-        def fold(p):
-            at = slice(length * p // parts, length * (p + 1) // parts)
-            _fold_half(phi_bar[at], folded[at], flip[at])
-            # here, on the part's thread: one _fold_top pass over the joined
-            # row, on the calling thread, read solve-large solve_rel +5%
-            if folded[at].max(initial=-HALF_PI) >= HALF_PI:  # a part may be empty
-                _fold_top(phi_bar[at], folded[at], flip[at])
-
-        folded = np.empty(length)
-        flip = np.empty(length, dtype=bool)
-        _run_parts(fold, parts)
-        pivots = np.sort(folded[::max(1, length // _PIVOT_SAMPLE)])
-        pivots = pivots[len(pivots) * np.arange(1, parts) // parts]
-        # each range writes its share of keys, order and prefix in place:
-        # no merge follows
-        in_range = np.empty((parts, length), dtype=bool)
-        order = np.empty(length, dtype=np.int64)
-        prefix = np.empty(length, dtype=complex)
-        keys = np.empty(length)
-
-        def sort(p):
-            # range p fills the sorted positions from the count of keys below it
-            mask = in_range[p]
-            start = 0
-            if p == 0:
-                np.less(folded, pivots[0], out=mask)
-            else:
-                np.greater_equal(folded, pivots[p - 1], out=mask)
-                start = length - np.count_nonzero(mask)
-                if p < len(pivots):
-                    np.less(folded, pivots[p], out=mask, where=mask)
-            positions = np.flatnonzero(mask)
-            at = slice(start, start + len(positions))
-            # mode="clip" writes straight into out; "raise" would buffer a copy
-            folded.take(positions, out=keys[at], mode="clip")
-            positions.take(keys[at].argsort(), out=order[at], mode="clip")
-            # the keys in order, without a gather across the row: they are
-            # only compared, so a +0.0 and a -0.0 may trade places
-            keys[at].sort()
-            phi_bar.take(order[at], out=prefix[at], mode="clip")
-
-        _run_parts(sort, parts)
-        del in_range
+    if not row:
+        # flat positions: take() on the flattened block gathers faster than
+        # indexing a (T, N+1) array with two index arrays
+        starts = np.arange(0, order.size, order.shape[-1])
+        order += starts[:, None]
+    # in place, and each buffer dropped or reused once done with, to keep
+    # the peak low
+    prefix = phi_bar.take(order)
+    keys = folded.take(order)
     # add.accumulate, not cumsum: the same sums, about half the per-call cost
     np.add.accumulate(prefix, axis=-1, out=prefix)
     # phi_bar and the order are done with: their buffers take 2 * prefix -
@@ -302,21 +261,192 @@ def _best_step_pattern(phi_bar: np.ndarray, parts: int | None = None) -> np.ndar
     return w
 
 
-def _solve_row(phi_bar: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The optimal configuration w of one composite row, and w * g for its power.
+@_overflow_quiet
+def _product_in(h_r: np.ndarray, g: np.ndarray, out: np.ndarray) -> None:
+    """model._product into out with no temporary: conj(h_r) is written there and multiplied in place.
 
-    A short row runs as one part without asking _part_count, which would
-    say so at a call's cost. A long row writes w * g into its composite,
-    which the sweep has spent: the same bits as a fresh product, without
-    faulting in another row. A short row keeps the fresh product: the
-    slice and out argument give the same bits but cost it 0.3 to 0.5 us
-    (das_solve 0.6% to 2.4% slower at N = 8 to 256, see CHANGES.md).
+    The same bits as _product on two or more entries. numpy multiplies a
+    lone entry in place by another loop, one without a fused multiply-add:
+    9 of 60 one-entry rows then differed from _product by an ulp, so a part
+    of fewer than two entries takes _product.
     """
-    if not _long(len(phi_bar)):
-        w = _best_step_pattern(phi_bar, 1)
-        return w, w * g
-    w = _best_step_pattern(phi_bar)
-    return w, np.multiply(w, g, phi_bar[:-1])
+    np.conjugate(h_r, out=out)
+    np.multiply(out, g, out=out)
+
+
+def _long_composite(g: np.ndarray, h_r: np.ndarray, h_d: complex,
+                    cuts: list[int]) -> tuple[np.ndarray, int]:
+    """A long row's composite before its rescale, and the rescale's exponent.
+
+    Part p fills positions cuts[p] to cuts[p+1] of phi_bar = (conj(h_r) *
+    g, conj(h_d)), the last part the direct-link entry too, and takes
+    their largest real or imaginary part as the larger of their max and
+    minus their min: the top model._composite reduces from an abs() copy,
+    with no row-length temporary. A part whose top is not finite raises
+    ValueError: a product overflowed, or g, h_r or h_d holds a NaN or inf,
+    which makes both the max and the min NaN. The parts' tops are checked
+    one by one, as the largest of them is taken by Python's max, which
+    passes over a NaN. Returns phi_bar and the exponent e for which
+    ldexp(phi_bar, e) is model._composite(g, h_r, h_d), bit for bit.
+    """
+    length = len(g) + 1
+    phi_bar = np.empty(length, dtype=complex)
+    floats = phi_bar.view(np.float64)
+    parts = len(cuts) - 1
+    tops = [0.0] * parts
+
+    def product(p):
+        start, stop = cuts[p], cuts[p + 1]
+        at = slice(start, min(stop, length - 1))
+        # out by position: a keyword costs the decorator's wrapper a dict per call
+        if at.stop - start > 1:
+            _product_in(h_r[at], g[at], phi_bar[at])
+        else:
+            _product(h_r[at], g[at], phi_bar[at])
+        if stop == length:  # the last part, never empty
+            phi_bar[-1] = h_d.conjugate()
+        part = floats[2 * start:2 * stop]
+        top = float(max(part.max(initial=0.0), -part.min(initial=0.0)))
+        if not top < math.inf:  # written so that NaN fails too
+            raise ValueError(_OVERFLOW)
+        tops[p] = top
+
+    _run_parts(product, parts)
+    # frexp(0) gives exponent 0, so an all-zero row keeps its values
+    return phi_bar, -math.frexp(max(tops))[1]
+
+
+def _solve_long(g: np.ndarray, h_r: np.ndarray, h_d: complex, parts: int | None = None,
+                w: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The optimal configuration w of one long channel, and w * g for its power.
+
+    g and h_r are (N,) and h_d is a Python complex; w, an (N,) int64
+    buffer, takes the configuration when given. The row runs as parts
+    parts (default _part_count(N+1)), in five rounds of _run_parts:
+
+    1. the composite's product and each part's top (_long_composite);
+    2. the rescale by the largest top's exponent, and the fold;
+    3. the sort, by key range;
+    4. the scores and each part's argmax;
+    5. the configuration, and w * g written into the spent composite.
+
+    Every round but the sort cuts the row by position, at the same places.
+    Between rounds the calling thread takes what needs the whole row: the
+    largest top, the pivots, the prefix sum and the winner. The sort splits
+    the row by key range, at parts - 1 pivots taken from a fixed strided
+    sample of the folded angles: range p holds the keys k with pivots[p-1]
+    <= k < pivots[p], so equal keys never straddle two ranges, and the
+    ranges sorted one by one and laid end to end are the whole row sorted.
+    Each range argsorts its keys for the order and then sorts them in place,
+    as the keys are only ever compared. The scores' run-end mask compares a
+    part's last key with the next part's first, and the winner is the best
+    of the parts' argmaxes, the lowest index winning ties, as one argmax
+    over the row picks it. Returns w and w * g, a view of the composite.
+    """
+    length = len(g) + 1
+    if parts is None:
+        parts = _part_count(length)
+    cuts = [length * p // parts for p in range(parts + 1)]
+    phi_bar, exponent = _long_composite(g, h_r, h_d, cuts)
+    floats = phi_bar.view(np.float64)
+    folded = np.empty(length)
+    flip = np.empty(length, dtype=bool)
+
+    def fold(p):
+        start, stop = cuts[p], cuts[p + 1]
+        # ldexp, not a multiply by 2.0**e, which overflows for a subnormal top
+        np.ldexp(floats[2 * start:2 * stop], exponent, out=floats[2 * start:2 * stop])
+        at = slice(start, stop)
+        # the fold negates phi_bar in place: afterwards every real part is >= 0
+        _fold_half(phi_bar[at], folded[at], flip[at])
+        # here, on the part's thread: one _fold_top pass over the joined
+        # row, on the calling thread, read solve-large solve_rel +5%
+        if folded[at].max(initial=-HALF_PI) >= HALF_PI:  # a part may be empty
+            _fold_top(phi_bar[at], folded[at], flip[at])
+
+    _run_parts(fold, parts)
+    pivots = np.sort(folded[::max(1, length // _PIVOT_SAMPLE)])
+    pivots = pivots[len(pivots) * np.arange(1, parts) // parts]
+    # each range writes its share of keys, order and prefix in place:
+    # no merge follows
+    in_range = np.empty((parts, length), dtype=bool)
+    order = np.empty(length, dtype=np.int64)
+    prefix = np.empty(length, dtype=complex)
+    keys = np.empty(length)
+
+    def sort(p):
+        if parts == 1:
+            # one range, the whole row: its positions are the keys' own
+            at = slice(0, length)
+            np.copyto(keys, folded)
+            order[:] = keys.argsort()
+        else:
+            # range p fills the sorted positions from the count of keys below it
+            mask = in_range[p]
+            start = 0
+            if p == 0:
+                np.less(folded, pivots[0], out=mask)
+            else:
+                np.greater_equal(folded, pivots[p - 1], out=mask)
+                start = length - np.count_nonzero(mask)
+                if p < len(pivots):
+                    np.less(folded, pivots[p], out=mask, where=mask)
+            positions = np.flatnonzero(mask)
+            at = slice(start, start + len(positions))
+            # mode="clip" writes straight into out; "raise" would buffer a copy
+            folded.take(positions, out=keys[at], mode="clip")
+            positions.take(keys[at].argsort(), out=order[at], mode="clip")
+        # the keys in order, without a gather across the row: they are
+        # only compared, so a +0.0 and a -0.0 may trade places
+        keys[at].sort()
+        phi_bar.take(order[at], out=prefix[at], mode="clip")
+
+    _run_parts(sort, parts)
+    del in_range
+    np.add.accumulate(prefix, out=prefix)
+    total = prefix[-1]
+    # the order is done with: its buffer takes the scores
+    scores = order.view(np.float64)
+    best = [(-math.inf, 0)] * parts
+
+    def score(p):
+        start, stop = cuts[p], cuts[p + 1]
+        if start == stop:
+            return
+        # the spent composite takes 2 * prefix - total
+        twice = np.multiply(prefix[start:stop], 2.0, out=phi_bar[start:stop])
+        twice -= total
+        part = np.abs(twice, out=scores[start:stop])
+        # a split followed by an equal key, the next part's first one
+        # included, lies inside a run: never the winner
+        end = min(stop, length - 1)
+        np.copyto(scores[start:end], -1.0, where=keys[start + 1:end + 1] == keys[start:end])
+        k = int(part.argmax())
+        best[p] = (part[k], start + k)
+
+    _run_parts(score, parts)
+    # max returns the first of equal scores: the lowest part, and so the
+    # lowest index. The winner k is a run end, so the winning prefix holds
+    # exactly the entries whose key is at most keys[k]
+    bound = float(keys[max(best, key=lambda part: part[0])[1]])
+    del order, prefix, keys, scores
+    # +1 where an entry's sign agrees with its direct-link entry's: the
+    # winning sign vector's -1 entries are those in the prefix and flipped
+    # by the fold, or neither
+    one = -1 if (folded[-1] <= bound) == flip[-1] else 1
+    if w is None:
+        w = np.empty(length - 1, dtype=np.int64)
+    wg = phi_bar[:-1]
+
+    def configure(p):
+        at = slice(cuts[p], min(cuts[p + 1], length - 1))
+        minus = np.equal(folded[at] <= bound, flip[at], out=flip[at])
+        np.multiply(minus, -2 * one, out=w[at], dtype=np.int64)
+        w[at] += one
+        np.multiply(w[at], g[at], out=wg[at])
+
+    _run_parts(configure, parts)
+    return w, wg
 
 
 def das_solve(ch: ChannelRealization) -> DasSolution:
@@ -327,7 +457,15 @@ def das_solve(ch: ChannelRealization) -> DasSolution:
     returned configuration (received_power's formula and bits, without its
     shape check), and a power that overflows a float raises ValueError.
     """
-    w, wg = _solve_row(composite_phi(ch), ch.g)
+    g = ch.g
+    if _long(len(g) + 1):
+        w, wg = _solve_long(g, ch.h_r, ch.h_d)
+    else:
+        w = _best_step_pattern(composite_phi(ch))
+        # a fresh product: w * g into the spent composite, as a long row
+        # takes it, gives the same bits but costs a short solve 0.3 to 0.5 us
+        # (das_solve 0.6% to 2.4% slower at N = 8 to 256, see CHANGES.md)
+        wg = w * g
     return DasSolution._trusted(PhaseConfig._trusted(w),
                                 _power(ch.h_r, wg, ch.h_d, ch.tx_power))
 
@@ -341,21 +479,32 @@ def das_solve_block(
     them. One sweep over the (T, N+1) composite block solves every row, and
     one model._power call over the block, a single np.vecdot, gives the T
     powers; returns the (T, N) int64 configurations and the list of powers.
-    A block of one row, as a cell of one trial gives, is solved by the
+    A block of one short row, as a cell of one trial gives, is solved by the
     one-row calls das_solve makes, which cost about 40% less than the block
-    route at N = 16 to 20 (timeit, 2-vCPU VM); an empty block gives a (0, N)
-    block and no powers. Row t's configuration and power are bit for bit those of
-    das_solve on channel t alone, and a row whose composite or power
-    overflows a float, or holds a NaN or inf, raises ValueError.
+    route at N = 16 to 20 (timeit, 2-vCPU VM). Long rows are solved one by
+    one through das_solve's long route, each into its row of the result;
+    an empty block gives a (0, N) block and no powers. Row t's configuration
+    and power are bit for bit those of das_solve on channel t alone, and a
+    row whose composite or power overflows a float, or holds a NaN or inf,
+    raises ValueError.
     """
     # blocks whose row counts differ go on to the block route, which rejects them
-    if len(g) == len(h_r) == len(h_d) == 1:
+    same = len(g) == len(h_r) == len(h_d)
+    if same and len(g) == 1 and not _long(g.shape[-1] + 1):
         # a Python complex, as ChannelRealization holds it: a numpy scalar
         # would make the power a np.float64
         g0, h_r0, h_d0 = g[0], h_r[0], complex(h_d[0])
-        w, wg = _solve_row(_composite(g0, h_r0, h_d0), g0)
-        return w[None], [_power(h_r0, wg, h_d0, tx_power)]
-    if len(g) == len(h_r) == len(h_d) == 0:
-        return np.empty(g.shape, dtype=np.int64), []
+        w = _best_step_pattern(_composite(g0, h_r0, h_d0))
+        return w[None], [_power(h_r0, w * g0, h_d0, tx_power)]
+    if same and (len(g) == 0 or _long(g.shape[-1] + 1)):
+        w = np.empty(g.shape, dtype=np.int64)
+        powers = []
+        for t in range(len(g)):
+            h_d_t = complex(h_d[t])
+            # no name holds a row's w * g, a view of its composite, into the
+            # next row's solve
+            powers.append(_power(h_r[t], _solve_long(g[t], h_r[t], h_d_t, w=w[t])[1],
+                                 h_d_t, tx_power))
+        return w, powers
     w = _best_step_pattern(_composite(g, h_r, h_d))
     return w, _power(h_r, w * g, h_d, tx_power)

@@ -146,39 +146,10 @@ _OVERFLOW = ("composite coefficient conj(h_r) * g overflows a float, "
 _overflow_quiet = np.errstate(over="ignore", invalid="ignore")
 
 
-# das runs a long row's fold and sort as parts of at least _PART_MIN entries,
-# one per usable CPU: below that, thread start-up, GIL hand-offs and page
-# faults on the split's buffers cost more than a second core saves (one part
-# against two timed with das_solve at N = 2^14 to 2^21, see CHANGES.md)
-_PART_MIN = 1 << 19
-
-
-def _long(length: int) -> bool:
-    """Whether a row of length entries is long: one that das splits into parts.
-
-    The one length test of the long route. _composite and das_solve build a
-    long row without the row-length temporaries that a short row reads once.
-    """
-    return length >= 2 * _PART_MIN
-
-
 @_overflow_quiet
 def _product(h_r: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The composite product conj(h_r) * g; an overflow gives inf or nan, not a warning."""
     return np.multiply(np.conj(h_r), g, out)
-
-
-@_overflow_quiet
-def _product_in(h_r: np.ndarray, g: np.ndarray, out: np.ndarray) -> None:
-    """_product into out with no temporary: conj(h_r) is written there and multiplied in place.
-
-    The same bits as _product on a row of two or more entries. numpy
-    multiplies a lone entry in place by another loop, one without a fused
-    multiply-add: 9 of 60 one-entry rows then differed from _product by an
-    ulp. _composite takes this form on long rows only.
-    """
-    np.conjugate(h_r, out=out)
-    np.multiply(out, g, out=out)
 
 
 def _composite(g: np.ndarray, h_r: np.ndarray, h_d) -> np.ndarray:
@@ -189,15 +160,8 @@ def _composite(g: np.ndarray, h_r: np.ndarray, h_d) -> np.ndarray:
     largest real or imaginary part lies in [0.5, 1); an all-zero row is left
     unchanged. Raises ValueError when a product conj(h_r) * g overflows, or
     when g, h_r or h_d holds a NaN or inf.
-    Every pass runs over whole rows on the calling thread, at any length:
-    of a long solve's passes only das's fold and sort are split.
-    A long row (_long(N+1): one that das splits) allocates nothing but
-    its result, and gets the same bits as a short one: conj(h_r) goes
-    straight into phi_bar and is multiplied by g there, and the top is the
-    larger of the largest part and minus the smallest. A short row reduces
-    an abs() copy of its parts instead, which is faster up to about 2^12
-    entries (timeit, 2-vCPU VM). At N = 2^20 the long forms spare two 16 MB
-    buffers, each read once and faulted in afresh on every call.
+    This is the composite of a short row and of a block: das builds a long
+    row's composite itself (das._long_composite), with the same bits.
     """
     # the product goes straight into phi_bar, so phi needs no copy of its
     # own, and an overflow shows as a non-finite top below; out by position:
@@ -209,20 +173,11 @@ def _composite(g: np.ndarray, h_r: np.ndarray, h_d) -> np.ndarray:
         # a Python float, not of a (1,) array, which halves the rescale's
         # cost (3.3 against 6.7 us at N = 64, timeit best of 5); math.frexp
         # and np.frexp agree down to the smallest subnormal
-        length = len(g) + 1
-        phi_bar = np.empty(length, dtype=complex)
-        long = _long(length)
-        if long:
-            _product_in(h_r, g, phi_bar[:-1])
-        else:
-            _product(h_r, g, phi_bar[:-1])
+        phi_bar = np.empty(len(g) + 1, dtype=complex)
+        _product(h_r, g, phi_bar[:-1])
         phi_bar[-1] = h_d.conjugate()
         floats = phi_bar.view(np.float64)
-        if long:
-            # a NaN makes both the max and the min NaN
-            top = float(max(floats.max(), -floats.min()))
-        else:
-            top = float(np.maximum.reduce(np.abs(floats)))
+        top = float(np.maximum.reduce(np.abs(floats)))
         if not top < math.inf:  # written so that NaN fails too
             raise ValueError(_OVERFLOW)
         np.ldexp(floats, -math.frexp(top)[1], out=floats)

@@ -21,6 +21,7 @@ from candidate_route import (
 )
 from dasris.baselines import continuous_upper_bound, exhaustive_search
 from dasris.das import (
+    _PART_MIN,
     DasSolution,
     _fold_half,
     _fold_top,
@@ -28,7 +29,6 @@ from dasris.das import (
     das_solve_block,
 )
 from dasris.model import (
-    _PART_MIN,
     ChannelParams,
     ChannelRealization,
     PhaseConfig,

@@ -1,11 +1,11 @@
-"""The long route: a long row's fold and sort run as parts, on threads of their own.
+"""The long route: a long row runs as parts, on threads of their own.
 
-The kernel takes the part count, so these tests run it at 1 to 4 parts on
-small channels, whatever the machine's core count. Which route a solve takes
-by default is pinned at the crossover length, where _part_count first
-returns more than one part. The same length makes a row long for the
-composite and the power, which then allocate no row-length temporaries;
-the tests force that length down to reach those forms on small rows.
+das._solve_long takes the part count, so these tests run it at 1 to 4 parts
+on small channels, whatever the machine's core count, and compare it with
+the short route, das._best_step_pattern over model._composite. Which route a
+solve takes by default is pinned at the crossover length, where _part_count
+first returns more than one part; the tests force that length down to take
+the long route, and its forms without row-length temporaries, on small rows.
 """
 
 import math
@@ -20,18 +20,22 @@ import pytest
 from hypothesis import given, seed, settings
 
 import dasris.das as das
-import dasris.model as model
 from dasris.baselines import exhaustive_search
-from dasris.das import _best_step_pattern, _part_count, _run_parts, das_solve, das_solve_block
+from dasris.das import (
+    _long_composite,
+    _part_count,
+    _run_parts,
+    _solve_long,
+    das_solve,
+    das_solve_block,
+)
 from dasris.harness import ExperimentPlan, run_plan
 from dasris.model import (
     ChannelParams,
-    PhaseConfig,
-    _composite,
+    _power,
     composite_phi,
     draw_channels,
     generate_channel,
-    received_power,
 )
 from test_das import (
     TIE_DIRECT_LINKS,
@@ -45,9 +49,17 @@ PARTS = (1, 2, 3, 4)
 
 
 def solve_in_parts(ch, parts):
-    """das_solve with the part count forced: (config, power)."""
-    w = _best_step_pattern(_composite(ch.g, ch.h_r, ch.h_d), parts)
-    return w, received_power(ch, PhaseConfig._trusted(w))
+    """das_solve's long route with the part count forced: (config, power)."""
+    w, wg = _solve_long(ch.g, ch.h_r, ch.h_d, parts)
+    return w, _power(ch.h_r, wg, ch.h_d, ch.tx_power)
+
+
+def long_composite(ch, parts):
+    """The bytes of ch's composite as the long route builds it in parts, rescaled."""
+    length = ch.n + 1
+    phi_bar, exponent = _long_composite(ch.g, ch.h_r, ch.h_d,
+                                        [length * p // parts for p in range(parts + 1)])
+    return np.ldexp(phi_bar.view(np.float64), exponent).tobytes()
 
 
 def both_threads(parts=2):
@@ -60,11 +72,24 @@ def both_threads(parts=2):
     return threading.Barrier(parts, timeout=30)
 
 
+def counted_threads(monkeypatch):
+    """The arguments of every thread das starts from now on."""
+    started = []
+    start = das._thread.start_new_thread
+
+    def count(*args):
+        started.append(args)
+        return start(*args)
+
+    monkeypatch.setattr(das._thread, "start_new_thread", count)
+    return started
+
+
 def test_part_count_splits_from_the_crossover_length():
     cores = len(os.sched_getaffinity(0))
-    assert _part_count(2 * model._PART_MIN - 1) == 1
-    assert _part_count(2 * model._PART_MIN) == min(2, cores)
-    assert _part_count(8 * model._PART_MIN) == min(8, cores)
+    assert _part_count(2 * das._PART_MIN - 1) == 1
+    assert _part_count(2 * das._PART_MIN) == min(2, cores)
+    assert _part_count(8 * das._PART_MIN) == min(8, cores)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 100, 1000, 4097])
@@ -75,7 +100,8 @@ def test_configs_are_bitwise_equal_across_part_counts(n, los):
     for channel_seed in range(4):
         ch = generate_channel(n, 1000 * n + channel_seed, ChannelParams(los=los))
         w, power = solve_in_parts(ch, 1)
-        assert w.tobytes() == das_solve(ch).config.w.tobytes()
+        sol = das_solve(ch)
+        assert (w.tobytes(), power) == (sol.config.w.tobytes(), sol.power)
         for parts in PARTS[1:]:
             other, other_power = solve_in_parts(ch, parts)
             assert other.tobytes() == w.tobytes(), (n, channel_seed, parts)
@@ -132,13 +158,41 @@ def test_degenerate_splits_stay_exact(case):
             assert solve_in_parts(ch, parts)[0].tobytes() == w.tobytes()
 
 
-def test_a_split_block_is_solved_row_by_row():
+def test_a_split_block_is_solved_row_by_row(monkeypatch):
+    # a block of long rows: each row through das_solve's long route, into
+    # its row of the result
     g, h_r, h_d = draw_channels(300, list(range(7)), ChannelParams())
-    for parts in PARTS[1:]:
-        w = _best_step_pattern(_composite(g, h_r, h_d), parts)
+    monkeypatch.setattr(das, "_PART_MIN", 64)
+    for parts in PARTS:
+        monkeypatch.setattr(das, "_part_count", lambda length: parts)
+        w, powers = das_solve_block(g, h_r, h_d, 2.0)
         for t in range(len(g)):
-            row = _best_step_pattern(_composite(g[t], h_r[t], h_d[t]), parts)
-            assert w[t].tobytes() == row.tobytes()
+            sol = das_solve(make_channel(g[t], h_r[t], complex(h_d[t]), tx_power=2.0))
+            assert w[t].tobytes() == sol.config.w.tobytes()
+            assert repr(powers[t]) == repr(sol.power)
+
+
+def traced_peak(call):
+    """call()'s result, and the bytes it allocates at its peak over those allocated before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_block_of_long_rows_peaks_at_one_rows_solve_and_its_result(monkeypatch):
+    # no block temporary, and nothing of one row's solve kept into the next's
+    n = 1 << 14
+    g, h_r, h_d = draw_channels(n, [1, 2, 3], ChannelParams())
+    monkeypatch.setattr(das, "_PART_MIN", 1 << 12)
+    monkeypatch.setattr(das, "_part_count", lambda length: 2)
+    ch = make_channel(g[0], h_r[0], complex(h_d[0]))
+    row = traced_peak(lambda: das_solve(ch))[1]
+    block = traced_peak(lambda: das_solve_block(g, h_r, h_d, 1.0))[1]
+    assert block < row + g.size * 8 + (1 << 14)
 
 
 def test_a_solve_below_the_crossover_starts_no_thread(monkeypatch):
@@ -167,23 +221,19 @@ def test_run_parts_runs_every_part_once():
 
 
 @pytest.mark.parametrize("parts", [2, 3])
-def test_a_split_solve_starts_threads_for_the_fold_and_the_sort_only(monkeypatch, parts):
-    # two thread rounds, the fold's and the sort's, of parts - 1 threads each
-    started = []
-    start = das._thread.start_new_thread
-
-    def count(*args):
-        started.append(args)
-        return start(*args)
-
-    monkeypatch.setattr(das._thread, "start_new_thread", count)
+def test_a_split_solve_starts_five_thread_rounds(monkeypatch, parts):
+    # five thread rounds of parts - 1 threads each: the product and its top,
+    # the rescale and the fold, the sort, the scores, and the configuration;
+    # the prefix sum and the power's dot product start none
+    started = counted_threads(monkeypatch)
     # the row made long and its part count forced, so the count holds on any
     # number of cores
-    monkeypatch.setattr(model, "_PART_MIN", 64)
+    monkeypatch.setattr(das, "_PART_MIN", 64)
     monkeypatch.setattr(das, "_part_count", lambda length: parts)
     ch = generate_channel(1000, 21)
-    assert das_solve(ch).config.w.tobytes() == solve_in_parts(ch, 1)[0].tobytes()
-    assert len(started) == 2 * (parts - 1)
+    w = das_solve(ch).config.w
+    assert len(started) == 5 * (parts - 1)
+    assert w.tobytes() == solve_in_parts(ch, 1)[0].tobytes()
 
 
 def test_run_parts_runs_every_part_once_under_contention():
@@ -240,7 +290,7 @@ def test_an_overflowing_composite_on_the_split_path_raises_without_a_warning(mon
     # a long row whose products overflow, through das_solve and a one-row
     # block, and long rows whose g, h_r or h_d holds a NaN or inf, which only
     # a block takes: a channel must be finite
-    monkeypatch.setattr(model, "_PART_MIN", 8)  # every solve splits
+    monkeypatch.setattr(das, "_PART_MIN", 8)  # every solve splits
     overflow = draw_channels(64, [1], ChannelParams())
     g, h_r, h_d = overflow
     g[0, ::7] = h_r[0, ::7] = 1e200  # overflowing products all along the row
@@ -260,8 +310,85 @@ def test_an_overflowing_composite_on_the_split_path_raises_without_a_warning(mon
                 das_solve_block(g, h_r, h_d, 1.0)
 
 
+def bad_rows(n, parts):
+    """(what, g, h_r, h_d) of n elements, each with one bad entry in one part.
+
+    For each part: an overflowing product, and a NaN, +inf or -inf in g or
+    h_r; the direct-link entry, which falls in the last part, holds a NaN or
+    an inf in h_d alone.
+    """
+    g, h_r, h_d = draw_channels(n, [1], ChannelParams())
+    cuts = [(n + 1) * p // parts for p in range(parts + 1)]
+    for p in range(parts):
+        at = (cuts[p] + cuts[p + 1]) // 2
+        if at == n:  # the direct-link entry
+            continue
+        for what, values in (("overflow", (1e200, 1e200)), ("nan in g", (math.nan, None)),
+                             ("inf in h_r", (None, math.inf)), ("-inf in g", (-math.inf, None))):
+            bad_g, bad_h_r = g[0].copy(), h_r[0].copy()
+            for row, value in ((bad_g, values[0]), (bad_h_r, values[1])):
+                if value is not None:
+                    row[at] = value
+            yield f"{what} at {at}", bad_g, bad_h_r, complex(h_d[0])
+    for value in (complex(math.nan, 0), complex(0, math.inf), complex(-math.inf, 1)):
+        yield f"h_d = {value}", g[0], h_r[0], value
+
+
+@pytest.mark.parametrize("parts", PARTS)
+def test_a_bad_row_raises_from_its_part_without_a_warning(monkeypatch, parts):
+    # the part that holds the bad entry raises, in the first thread round:
+    # no later round starts, and a NaN never meets Python's max over the tops
+    started = counted_threads(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for what, g, h_r, h_d in bad_rows(39, parts):
+            del started[:]
+            with pytest.raises(ValueError, match="composite coefficient") as raised:
+                _solve_long(g, h_r, h_d, parts)
+            assert raised.traceback[-1].name == "product", what
+            assert len(started) == parts - 1, what
+
+
+def exact_run_channel(rng):
+    """A shuffled row of Gaussian integers whose sorted keys hold a run of 40
+    equal keys at positions 30 to 69, across the cut of every part count up
+    to 4; the run mixes entries the fold flips with entries it keeps."""
+    below = (2 - 1j) * rng.integers(1, 4, 30)
+    run = (1 + 1j) * rng.integers(1, 4, 40) * rng.choice([1, -1], 40)
+    above = (1 + 2j) * rng.integers(1, 4, 29)
+    g = rng.permutation(np.concatenate((below, run, above)))
+    return make_channel(g, np.ones(len(g)), 3 - 6j)  # conj(h_d) lies above the run
+
+
+@pytest.mark.parametrize("parts", PARTS)
+def test_a_run_across_a_part_cut_keeps_the_short_routes_bits(parts):
+    # every sum is exact, so the sums at the run ends agree to the bit however
+    # each part orders the run, and so must the winner
+    rng = np.random.default_rng(2024)
+    for _ in range(20):
+        ch = exact_run_channel(rng)
+        sol = das_solve(ch)
+        w, power = solve_in_parts(ch, parts)
+        assert (w.tobytes(), repr(power)) == (sol.config.w.tobytes(), repr(sol.power))
+
+
+@pytest.mark.parametrize("parts", PARTS)
+@pytest.mark.parametrize("m", [1, 5])
+def test_equal_best_scores_in_two_parts_go_to_the_lowest_index(parts, m):
+    # keys in four runs of m: a = 1 - 2j, b = 2 - 1j, c = 2 + 1j, d = 1 + 2j,
+    # the direct link one of the d. The run ends of b and d score exactly the
+    # same, |-6j m| and |6m|, and lie in different parts at 2 to 4 parts; the
+    # end of b, the lower index, must win, for w = -1 on a and b, +1 on c and d
+    g = np.repeat([1 - 2j, 2 - 1j, 2 + 1j, 1 + 2j], m)[:-1]
+    ch = make_channel(g, np.ones(len(g)), 1 - 2j)
+    w, power = solve_in_parts(ch, parts)
+    expected = np.repeat([-1, 1], [2 * m, 2 * m - 1])
+    assert w.tobytes() == expected.tobytes() == das_solve(ch).config.w.tobytes()
+    assert power == das_solve(ch).power == (6.0 * m) ** 2
+
+
 def test_no_thread_outlives_a_split_solve(monkeypatch):
-    monkeypatch.setattr(model, "_PART_MIN", 64)  # every solve below splits
+    monkeypatch.setattr(das, "_PART_MIN", 64)  # every solve below splits
     before = threading.active_count()
     ch = generate_channel(1000, 8)
     sol = das_solve(ch)
@@ -302,11 +429,12 @@ def route_bits(ch):
             *((w.tobytes(), repr(powers)) for w, powers in blocks))
 
 
-@pytest.mark.parametrize("parts", [1, 2, 3])
+@pytest.mark.parametrize("parts", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 257])
 def test_long_rows_take_the_short_routes_bits(monkeypatch, n, parts):
     # the composite, top and power of a long row, and its split sort, which
-    # sorts +0.0 and -0.0 keys in any order, against the short route. Exact
+    # sorts +0.0 and -0.0 keys in any order, against the short route; rows
+    # of 2 to 4 entries split into parts of no entry or one. Exact
     # rows give the same bits at any part count, and so do Rayleigh rows,
     # whose folded angles differ; those from two entries: numpy multiplies a
     # lone entry in place by a loop without a fused multiply-add, which is
@@ -317,21 +445,20 @@ def test_long_rows_take_the_short_routes_bits(monkeypatch, n, parts):
         rayleigh = channels[-1]
         channels.append(make_channel(rayleigh.g * 1j, rayleigh.h_r, 0))  # angles near +-pi/2
     short = [route_bits(ch) for ch in channels]
-    monkeypatch.setattr(model, "_PART_MIN", 1)  # every row is long
+    monkeypatch.setattr(das, "_PART_MIN", 1)  # every row is long
     monkeypatch.setattr(das, "_part_count", lambda length: parts)
     for ch, bits in zip(channels, short):
         assert route_bits(ch) == bits
+        assert long_composite(ch, parts) == bits[0]
 
 
-@pytest.mark.parametrize("n", [2 * model._PART_MIN - 1, 1 << 20])
+@pytest.mark.parametrize("n", [2 * das._PART_MIN - 1, 1 << 20])
 def test_a_long_composite_allocates_only_its_result(n):
     # a row-length temporary in the product or the top would double the peak
     ch = generate_channel(n, 5)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        phi_bar = composite_phi(ch)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert phi_bar.nbytes <= peak < phi_bar.nbytes + (1 << 16)
+    short = composite_phi(ch).tobytes()
+    for parts in (1, 2):
+        cuts = [(n + 1) * p // parts for p in range(parts + 1)]
+        (phi_bar, exponent), peak = traced_peak(lambda: _long_composite(ch.g, ch.h_r, ch.h_d, cuts))
+        assert phi_bar.nbytes <= peak < phi_bar.nbytes + (1 << 16)
+        assert np.ldexp(phi_bar.view(np.float64), exponent).tobytes() == short
