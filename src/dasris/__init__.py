@@ -1,7 +1,6 @@
 """Optimal 1-bit surface phase configuration via divide-and-sort, with baselines."""
 
 from .baselines import (
-    BaselineResult,
     EXHAUSTIVE_LIMIT,
     ExhaustiveLimitError,
     continuous_upper_bound,
@@ -9,7 +8,7 @@ from .baselines import (
     greedy_bitflip,
     random_best_of_k,
 )
-from .das import DasSolution, das_solve
+from .das import das_solve
 from .harness import (
     AggregateRow,
     ExperimentPlan,
@@ -26,6 +25,7 @@ from .model import (
     ChannelParams,
     ChannelRealization,
     PhaseConfig,
+    Solution,
     composite_phi,
     generate_channel,
     read_channel_csv,
@@ -38,16 +38,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregateRow",
-    "BaselineResult",
     "ChannelFormatError",
     "ChannelParams",
     "ChannelRealization",
-    "DasSolution",
     "EXHAUSTIVE_LIMIT",
     "ExhaustiveLimitError",
     "ExperimentPlan",
     "PhaseConfig",
     "PlanError",
+    "Solution",
     "TrialRecord",
     "aggregate",
     "composite_phi",

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 
 import numpy as np
 
-from .model import (ChannelRealization, PhaseConfig, _overflow_quiet, _product,
+from .model import (ChannelRealization, PhaseConfig, Solution, _overflow_quiet, _product,
                     composite_phi, received_power)
 
 EXHAUSTIVE_LIMIT = 20
@@ -20,17 +20,10 @@ class ExhaustiveLimitError(ValueError):
     """Raised when a brute-force search would exceed its fixed size cap."""
 
 
-@dataclass(frozen=True)
-class BaselineResult:
-    """Outcome of a baseline optimizer.
-
-    power is re-evaluated from (channel, config), so results from different
-    methods compare exactly. evaluations counts objective evaluations.
-    """
-
-    config: PhaseConfig
-    power: float
-    evaluations: int
+def _solution(ch: ChannelRealization, w: np.ndarray, evaluations: int) -> Solution:
+    """The Solution of configuration w, its power re-evaluated by received_power."""
+    config = PhaseConfig(w=w)
+    return Solution(config=config, power=received_power(ch, config), evaluations=evaluations)
 
 
 def _signed_sums(phi: np.ndarray, base: complex) -> np.ndarray:
@@ -41,7 +34,7 @@ def _signed_sums(phi: np.ndarray, base: complex) -> np.ndarray:
     return sums
 
 
-def exhaustive_search(ch: ChannelRealization) -> BaselineResult:
+def exhaustive_search(ch: ChannelRealization) -> Solution:
     """Evaluate all 2^N configurations and return the best.
 
     Configurations are numbered by an N-bit counter where a set bit n means
@@ -82,22 +75,24 @@ def exhaustive_search(ch: ChannelRealization) -> BaselineResult:
         if p.flat[j] > best_power:  # strict: a tie keeps the earlier, lower counter
             best_index, best_power = start * low.size + j, p.flat[j]
     w = 1 - 2 * ((best_index >> np.arange(n)) & 1)
-    config = PhaseConfig(w=w)
-    return BaselineResult(
-        config=config,
-        power=received_power(ch, config),
-        evaluations=1 << n,
-    )
+    return _solution(ch, w, 1 << n)
 
 
-def greedy_bitflip(ch: ChannelRealization, start: PhaseConfig, max_sweeps: int = 100) -> BaselineResult:
+def greedy_bitflip(ch: ChannelRealization, start: PhaseConfig, max_sweeps: int = 100) -> Solution:
     """Coordinate-wise local search from a starting configuration.
 
     Sweeps the elements in order, flipping any single entry whose flip
     strictly increases the received power; stops after a full sweep with no
     accepted flip or after max_sweeps. Each flip probe updates the received
-    amplitude in O(1).
+    amplitude in O(1). Raises ValueError unless max_sweeps is an integer
+    >= 0.
     """
+    try:  # operator.index takes ints and numpy integers, not 2.5 or 2.0
+        max_sweeps = operator.index(max_sweeps)
+    except TypeError:
+        raise ValueError(f"max_sweeps must be an integer, not {max_sweeps!r}") from None
+    if max_sweeps < 0:
+        raise ValueError(f"max_sweeps must be >= 0, not {max_sweeps}")
     if start.n != ch.n:
         raise ValueError(f"start has {start.n} elements but channel has {ch.n}")
     phi_bar = composite_phi(ch)
@@ -116,15 +111,10 @@ def greedy_bitflip(ch: ChannelRealization, start: PhaseConfig, max_sweeps: int =
                 improved = True
         if not improved:
             break
-    config = PhaseConfig(w=w)
-    return BaselineResult(
-        config=config,
-        power=received_power(ch, config),
-        evaluations=evaluations,
-    )
+    return _solution(ch, w, evaluations)
 
 
-def random_best_of_k(ch: ChannelRealization, k: int, seed: int) -> BaselineResult:
+def random_best_of_k(ch: ChannelRealization, k: int, seed: int) -> Solution:
     """Best of k configurations drawn uniformly at random (seeded)."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -134,12 +124,7 @@ def random_best_of_k(ch: ChannelRealization, k: int, seed: int) -> BaselineResul
     amps = signs @ phi_bar[:-1] + phi_bar[-1]
     powers = amps.real**2 + amps.imag**2
     j = int(np.argmax(powers))
-    config = PhaseConfig(w=signs[j])
-    return BaselineResult(
-        config=config,
-        power=received_power(ch, config),
-        evaluations=k,
-    )
+    return _solution(ch, signs[j], k)
 
 
 @_overflow_quiet  # a sum of finite magnitudes may pass the largest float

@@ -153,14 +153,6 @@ class TrialRecord:
     snr_db: float
     wall_time: float
 
-    @classmethod
-    def _trusted(cls, n, trial, method, power, snr_db, wall_time) -> "TrialRecord":
-        """A record from fields run_plan made as such, without the generated __init__."""
-        record = object.__new__(cls)
-        record.__dict__.update(n=n, trial=trial, method=method, power=power,
-                               snr_db=snr_db, wall_time=wall_time)
-        return record
-
 
 @dataclass(frozen=True)
 class AggregateRow:
@@ -233,7 +225,6 @@ def run_plan(plan: ExperimentPlan) -> list[TrialRecord]:
     needs_channels = any(m != "das" for m in methods)
     draws = not _DRAW_USERS.isdisjoint(plan.methods)
     noise_power = params.noise_power
-    record = TrialRecord._trusted
     records: list[TrialRecord] = []
     for n in plan.n_values:
         step = max(1, CELL_ELEMENTS // n)
@@ -252,8 +243,8 @@ def run_plan(plan: ExperimentPlan) -> list[TrialRecord]:
             columns = [METHODS[m](blocks, channels, cell_draws) for m in methods]
             for t, row in zip(trials, zip(*columns)):
                 for method, (power, seconds) in zip(methods, row):
-                    records.append(record(n, t, method, power,
-                                          snr_db(power, noise_power), seconds))
+                    records.append(TrialRecord(n, t, method, power,
+                                               snr_db(power, noise_power), seconds))
     return records
 
 

@@ -7,7 +7,6 @@ import pytest
 import dasris.baselines as baselines
 from dasris.baselines import (
     EXHAUSTIVE_LIMIT,
-    BaselineResult,
     ExhaustiveLimitError,
     continuous_upper_bound,
     exhaustive_search,
@@ -19,6 +18,7 @@ from dasris.model import (
     ChannelParams,
     ChannelRealization,
     PhaseConfig,
+    Solution,
     generate_channel,
     received_power,
 )
@@ -152,6 +152,16 @@ def test_greedy_zero_sweeps_returns_start():
     assert res.evaluations == 0
 
 
+def test_greedy_rejects_max_sweeps_that_is_not_an_integer_ge_0():
+    ch = generate_channel(5, 1)
+    start = PhaseConfig(np.ones(5, dtype=int))
+    for max_sweeps in (2.5, 2.0, -3, -1, "3", None):
+        with pytest.raises(ValueError, match="max_sweeps"):
+            greedy_bitflip(ch, start, max_sweeps=max_sweeps)
+    # numpy integers pass, as ExperimentPlan's sizes do
+    assert greedy_bitflip(ch, start, max_sweeps=np.int64(1)).evaluations == 5
+
+
 def test_greedy_rejects_length_mismatch():
     ch = generate_channel(4, 1)
     with pytest.raises(ValueError):
@@ -258,11 +268,17 @@ def test_dominance_chain_on_random_instances():
 def test_baseline_result_power_consistent_with_config():
     rng = np.random.default_rng(41)
     for _ in range(30):
-        ch = generate_channel(int(rng.integers(1, 12)), int(rng.integers(0, 2**32)))
-        for res in (
-            exhaustive_search(ch),
-            random_best_of_k(ch, 8, seed=3),
-            greedy_bitflip(ch, random_best_of_k(ch, 8, seed=3).config),
+        n = int(rng.integers(1, 12))
+        ch = generate_channel(n, int(rng.integers(0, 2**32)))
+        greedy = greedy_bitflip(ch, random_best_of_k(ch, 8, seed=3).config)
+        for res, evaluations in (
+            (das_solve(ch), n + 1),
+            (exhaustive_search(ch), 2**n),
+            (random_best_of_k(ch, 8, seed=3), 8),
+            (greedy, greedy.evaluations),  # its count is checked below
         ):
-            assert isinstance(res, BaselineResult)
-            assert math.isclose(res.power, received_power(ch, res.config), rel_tol=1e-12)
+            assert type(res) is Solution
+            assert res.power == received_power(ch, res.config)
+            assert res.evaluations == evaluations
+        # one probe per element per sweep, and at least one sweep
+        assert greedy.evaluations % n == 0 and greedy.evaluations >= n

@@ -22,7 +22,6 @@ from candidate_route import (
 from dasris.baselines import continuous_upper_bound, exhaustive_search
 from dasris.das import (
     _PART_MIN,
-    DasSolution,
     _fold_half,
     _fold_top,
     das_solve,
@@ -32,6 +31,7 @@ from dasris.model import (
     ChannelParams,
     ChannelRealization,
     PhaseConfig,
+    Solution,
     _composite,
     composite_phi,
     draw_channels,
@@ -647,8 +647,8 @@ def test_one_channel_configuration_is_its_block_row_with_either_direct_link_sign
 def test_das_solution_is_a_plain_frozen_dataclass():
     ch = generate_channel(16, 4)
     sol = das_solve(ch)
-    built = DasSolution(config=sol.config, power=sol.power)
-    assert type(sol) is DasSolution
+    built = Solution(config=sol.config, power=sol.power, evaluations=sol.evaluations)
+    assert type(sol) is Solution
     assert repr(sol) == repr(built) and vars(sol).keys() == vars(built).keys()
     with pytest.raises(dataclasses.FrozenInstanceError):
         sol.power = 0.0

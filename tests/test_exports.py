@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import dasris
+import dasris.baselines
 import dasris.das
 import dasris.harness
 import dasris.model
@@ -48,7 +49,16 @@ def test_timing_scaling_is_gone():
 def test_composite_phi_returns_a_plain_vector():
     assert "CompositePhi" not in dasris.__all__
     assert not hasattr(dasris.model, "CompositePhi")
-    assert tuple(f.name for f in dataclasses.fields(dasris.DasSolution)) == ("config", "power")
+    assert tuple(f.name for f in dataclasses.fields(dasris.Solution)) == (
+        "config", "power", "evaluations")
+
+
+def test_das_solution_and_baseline_result_are_gone():
+    # every solver returns a Solution
+    for name, module in (("DasSolution", dasris.das), ("BaselineResult", dasris.baselines)):
+        assert name not in dasris.__all__
+        assert not hasattr(dasris, name)
+        assert not hasattr(module, name)
 
 
 def test_what_the_benchmark_workloads_call_keeps_its_shape():
