@@ -70,9 +70,6 @@ from .model import (
 )
 
 HALF_PI = np.pi / 2.0
-# a float64 operand: np.less(x, 0) pays for converting the Python int each
-# call, np.less on a row 0.64-0.71 against 0.80-0.89 us (timeit, best of 7)
-_ZERO = np.float64(0.0)
 # entries in the strided sample whose quantiles are a split sort's pivots
 _PIVOT_SAMPLE = 4096
 # a long row runs as parts of at least _PART_MIN entries, one per usable CPU:
@@ -154,7 +151,7 @@ def _fold_half(z: np.ndarray, folded: np.ndarray | None = None,
     and flip when given them.
     """
     re = z.real  # a view: it sees the negation below
-    flip = np.less(re, _ZERO, out=flip)
+    flip = np.less(re, 0, out=flip)
     np.negative(z, out=z, where=flip)
     folded = np.abs(re, out=folded)
     np.arctan2(z.imag, folded, out=folded)
@@ -191,7 +188,8 @@ def _best_step_pattern(phi_bar: np.ndarray) -> np.ndarray:
     Every pass runs once over the whole row or block, on the calling
     thread: this is the short route. A long row goes through _solve_long.
     """
-    # row branches: das_solve 22-29% faster than a (1, N+1) block at N = 8 to 256 (A/B, 15/15)
+    # row branches: das_solve 21-28% faster than a (1, N+1) block at N = 8 to 256
+    # (median of per-round ratios, A/B, 15 of 15 rounds at each N)
     row = phi_bar.ndim == 1
     starts = 0
     # the fold negates phi_bar in place: afterwards every real part is >= 0
@@ -456,8 +454,8 @@ def das_solve(ch: ChannelRealization) -> Solution:
         # takes it, gives the same bits but costs a short solve 0.3 to 0.5 us
         # (das_solve 0.6% to 2.4% slower at N = 8 to 256, see CHANGES.md)
         wg = w * g
-    return Solution._trusted(PhaseConfig._trusted(w),
-                             _power(ch.h_r, wg, ch.h_d, ch.tx_power), length)
+    return Solution(PhaseConfig._trusted(w),
+                    _power(ch.h_r, wg, ch.h_d, ch.tx_power), length)
 
 
 def das_solve_block(

@@ -151,18 +151,6 @@ class Solution:
     power: float
     evaluations: int
 
-    # das_solve 31.8 against 32.5 us with the generated __init__ (A/B, 16 of 21 rounds)
-    @classmethod
-    def _trusted(cls, config: PhaseConfig, power: float, evaluations: int) -> "Solution":
-        """A solution from fields das_solve made as such, without the generated __init__."""
-        solution = object.__new__(cls)
-        # item by item: 0.46 us a call, against 0.63 us for one update() with keywords
-        fields = solution.__dict__
-        fields["config"] = config
-        fields["power"] = power
-        fields["evaluations"] = evaluations
-        return solution
-
 
 # the same test catches a NaN or inf input: it reaches the composite's top
 _OVERFLOW = ("composite coefficient conj(h_r) * g overflows a float, "
@@ -197,7 +185,8 @@ def _composite(g: np.ndarray, h_r: np.ndarray, h_d) -> np.ndarray:
     # multiply by 2.0**-e, which overflows for a subnormal top; frexp(0)
     # gives exponent 0, so an all-zero row keeps its values
     if g.ndim == 1:
-        # das_solve 31.1 against 34.5 us with the block form below (A/B, 21 of 21 rounds);
+        # das_solve 11.6% faster than with the block form below (median of
+        # per-round ratios, A/B, 41 of 41 rounds);
         # one row: shapes and slices without an Ellipsis, and the exponent of
         # a Python float, not of a (1,) array, which halves the rescale's
         # cost (3.3 against 6.7 us at N = 64, timeit best of 5); math.frexp
@@ -258,8 +247,8 @@ def _power(h_r: np.ndarray, wg: np.ndarray, h_d, tx_power: float):
     np.vdot on one row and np.vecdot on a block run the BLAS conjugated dot
     product (zdotc) row by row, so a row of a block gets the same bits as
     its channel on its own; on one row np.vdot costs about 0.4 us less
-    (timeit, 2-vCPU VM): das_solve 29.7 against 30.4 us with np.vecdot
-    (A/B, 16 of 21 rounds).
+    (timeit, 2-vCPU VM): das_solve 2.9% faster than with np.vecdot (median
+    of per-round ratios, A/B, 33 of 41 rounds).
     Raises ValueError when a power overflows a float or is NaN.
     """
     if h_r.ndim == 1:
@@ -321,8 +310,8 @@ _POOL_SIZE = 4
 # time: there numpy's cost per row (about 15-20 us a SeedSequence, 20-25 us
 # a default_rng draw at n = 16) undercuts the fixed cost of the column-wise
 # routine (about 65-85 us a seed block, 70-80 us a block draw of 2 to 5
-# rows at n = 16; 2-vCPU VM); one row: 12 against 49 us for its seeds, 48
-# against 111 us for its draw (A/B, 21 of 21 rounds)
+# rows at n = 16; 2-vCPU VM); one row's seeds 74% and its draw 56% cheaper
+# (median of per-round ratios, A/B, 21 of 21 rounds)
 _BLOCK_ROWS = 6
 
 
