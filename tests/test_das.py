@@ -759,10 +759,10 @@ def long_channels():
 
 
 # sha256 of das_solve's configurations and powers on long_channels(), taken
-# before a long row dropped its composite's temporaries and its power's
-# product, and before its split sort stopped gathering its keys; the same at
-# one, two and three parts
-LONG_SHA256 = "7046878524e2229cba51c793c9cd951c26fb5b77a9c1bdae4957b297bf4bb0a9"
+# once the power summed a long row in chunks of model._DOT_CHUNK: the same at
+# any number of parts and of BLAS threads. The configurations alone hash as
+# they did before, when the power was one np.vdot over the row
+LONG_SHA256 = "7a44ce03f6f5b5303908ff39ce7b84680ff0b4bfae449437c7b951548c9b265f"
 
 
 def test_long_das_solve_configs_and_powers_are_pinned():

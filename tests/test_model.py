@@ -157,6 +157,33 @@ def test_received_power_rejects_length_mismatch():
         received_power(ch, PhaseConfig(np.array([1, 1, 1])))
 
 
+@pytest.mark.parametrize("n", [model._DOT_CHUNK, model._DOT_CHUNK + 1, 3 * model._DOT_CHUNK,
+                               3 * model._DOT_CHUNK + 77])
+def test_a_long_power_adds_whole_chunks_left_to_right(n):
+    # one zdotc a chunk, too short for OpenBLAS to split across its threads,
+    # and the chunks added in a fixed order: bits that no BLAS thread count
+    # moves, alone and as a row of a block. A row of _DOT_CHUNK entries keeps
+    # its one np.vdot
+    g, h_r, h_d = draw_channels(n, [5, 6], ChannelParams())
+    w = np.where(np.arange(n) % 3 == 0, -1, 1)
+    chunk = model._DOT_CHUNK
+    expected = []
+    for t in range(2):
+        wg = w * g[t]
+        if n <= chunk:
+            amp = complex(np.vdot(h_r[t], wg))
+        else:
+            whole = n - n % chunk
+            amp = complex(np.vdot(h_r[t, :chunk], wg[:chunk]))
+            for start in range(chunk, whole, chunk):
+                amp += complex(np.vdot(h_r[t, start:start + chunk], wg[start:start + chunk]))
+            amp += complex(np.vdot(h_r[t, whole:], wg[whole:]))
+        amp += complex(h_d[t]).conjugate()
+        expected.append((amp.real * amp.real + amp.imag * amp.imag) * 2.0)
+        assert repr(model._power(h_r[t], wg, complex(h_d[t]), 2.0)) == repr(expected[t])
+    assert repr(model._power(h_r, w * g, h_d, 2.0)) == repr(expected)
+
+
 def test_snr_db_values():
     # 10*log10(4/2) and 10*log10(4/1), computed with math.log10
     assert math.isclose(snr_db(4.0, 2.0), 3.010299956639812, rel_tol=1e-12)

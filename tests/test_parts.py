@@ -22,10 +22,13 @@ from hypothesis import given, seed, settings
 import dasris.das as das
 from dasris.baselines import exhaustive_search
 from dasris.das import (
+    _fold_half,
+    _long,
     _long_composite,
     _part_count,
     _run_parts,
     _solve_long,
+    _stable_order,
     das_solve,
     das_solve_block,
 )
@@ -137,9 +140,9 @@ def degenerate_channels():
     upper = np.exp(1j * rng.uniform(0.01, 1.5, n)) * rng.exponential(1.0, n)
     yield "every key above 0", make_channel(upper, np.ones(n), 0.2j)
     yield "every key below 0", make_channel(upper.conj(), np.ones(n), -0.2j)
-    # three directions only: every pivot equals hundreds of keys
+    # three directions only: runs of hundreds of equal keys across every cut
     few = np.exp(1j * np.array([-1.0, 0.25, 1.2]))[rng.integers(0, 3, n)] * rng.integers(1, 4, n)
-    yield "pivots on runs of equal keys", make_channel(few, np.ones(n), 1.0)
+    yield "runs of equal keys", make_channel(few, np.ones(n), 1.0)
     yield "all zero", make_channel(np.zeros(n), np.ones(n), 0)
     zeros_and_ties = np.where(rng.random(n) < 0.5, 0, few)
     yield "zeros among runs", make_channel(zeros_and_ties, np.ones(n), -1j)
@@ -147,15 +150,74 @@ def degenerate_channels():
 
 @pytest.mark.parametrize("case", [name for name, _ in degenerate_channels()])
 def test_degenerate_splits_stay_exact(case):
+    # every part count orders ties by index, so it adds the same sums in the
+    # same order: the same configuration and power, to the bit
     ch = dict(degenerate_channels())[case]
     w, power = solve_in_parts(ch, 1)
     for parts in PARTS[1:]:
         other, other_power = solve_in_parts(ch, parts)
-        # the same run ends, so the same optimum, up to the order of the sums
-        assert math.isclose(other_power, power, rel_tol=1e-12, abs_tol=0.0), parts
-    if case.startswith("every key equal") or case == "all zero":
-        for parts in PARTS[1:]:
-            assert solve_in_parts(ch, parts)[0].tobytes() == w.tobytes()
+        assert (other.tobytes(), repr(other_power)) == (w.tobytes(), repr(power)), parts
+
+
+def near_equal_angles():
+    """Angles a few ulps apart around five bases, +-pi/2 among them, and
+    +-0.0 and +-5e-324: each base's angles share a truncated key and differ."""
+    steps = np.arange(-3, 4)
+    values = [0.0, -0.0, 5e-324, -5e-324]
+    for base in (0.7, -0.3, 1e-300, math.pi / 2, -math.pi / 2):
+        values += (np.array([base]).view(np.int64) + steps).view(np.float64).tolist()
+    return np.array(values)
+
+
+def stable_order_rows():
+    """(name, angles): the folded angles of Rayleigh and tie-heavy rows, and a
+    row of near_equal_angles, which only the sort's fix-up orders."""
+    rng = np.random.default_rng(808)
+    n = 3000
+    for los in (True, False):
+        ch = generate_channel(n, 31 + los, ChannelParams(los=los))
+        yield f"rayleigh, los={los}", _fold_half(composite_phi(ch))[0]
+    for h_d in TIE_DIRECT_LINKS:
+        yield f"tie-heavy, h_d={h_d}", _fold_half(composite_phi(tie_heavy_channel(rng, n, h_d)))[0]
+    yield "near-equal angles", rng.choice(near_equal_angles(), n)
+    # sorted, 0.5 and the next float take positions 4 and 5 in the wrong order,
+    # the one pair to fix up, across the cut of two parts
+    yield "a pair across the cut", np.array([np.nextafter(0.5, 1.0), -1.0, -0.9, -0.8, -0.7,
+                                             0.5, 1.0, 1.1, 1.2, 1.3])
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+@pytest.mark.parametrize("case", [name for name, _ in stable_order_rows()])
+def test_the_long_sort_is_the_stable_argsort(case, parts):
+    angles = dict(stable_order_rows())[case]
+    n = len(angles)
+    stable = np.argsort(angles + 0.0, kind="stable")
+    if case in ("near-equal angles", "a pair across the cut"):
+        # the packed keys alone leave this row out of order
+        truncated = das._sortable((angles + 0.0).view(np.int64)) >> (n - 1).bit_length()
+        assert np.argsort(truncated, kind="stable").tobytes() != stable.tobytes()
+    order, keys = _stable_order(angles, [n * p // parts for p in range(parts + 1)])
+    assert order.tobytes() == stable.tobytes()
+    assert (keys == np.sort(angles)).all()
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_near_equal_angles_solve_alike_on_every_part_count(monkeypatch, parts):
+    rng = np.random.default_rng(909)
+    n = 2000
+    g = rng.exponential(1.0, n) * np.exp(1j * rng.choice(near_equal_angles(), n))
+    ch = make_channel(g, np.ones(n), 0.3 - 0.1j)
+    monkeypatch.setattr(das, "_PART_MIN", 64)  # the solve takes the long route
+    monkeypatch.setattr(das, "_part_count", lambda length: parts)
+    sol = das_solve(ch)
+    for count in (1, parts):
+        w, power = solve_in_parts(ch, count)
+        assert (w.tobytes(), repr(power)) == (sol.config.w.tobytes(), repr(sol.power))
+
+
+def test_rows_past_the_longest_take_the_short_route():
+    assert _long(2 * das._PART_MIN) and _long(das._LONG_MAX)
+    assert not _long(2 * das._PART_MIN - 1) and not _long(das._LONG_MAX + 1)
 
 
 def test_a_split_block_is_solved_row_by_row(monkeypatch):
@@ -221,10 +283,12 @@ def test_run_parts_runs_every_part_once():
 
 
 @pytest.mark.parametrize("parts", [2, 3])
-def test_a_split_solve_starts_five_thread_rounds(monkeypatch, parts):
-    # five thread rounds of parts - 1 threads each: the product and its top,
-    # the rescale and the fold, the sort, the scores, and the configuration;
-    # the prefix sum and the power's dot product start none
+def test_a_split_solve_starts_eight_thread_rounds(monkeypatch, parts):
+    # seven thread rounds of parts - 1 threads each: the product and its top,
+    # the rescale and the fold, the packed keys, the order, the gather, the
+    # scores, and the configuration; and the sort round's one thread, for
+    # its second sort. The order's fix-up, the prefix sum and the power's
+    # dot product start none
     started = counted_threads(monkeypatch)
     # the row made long and its part count forced, so the count holds on any
     # number of cores
@@ -232,7 +296,7 @@ def test_a_split_solve_starts_five_thread_rounds(monkeypatch, parts):
     monkeypatch.setattr(das, "_part_count", lambda length: parts)
     ch = generate_channel(1000, 21)
     w = das_solve(ch).config.w
-    assert len(started) == 5 * (parts - 1)
+    assert len(started) == 7 * (parts - 1) + 1
     assert w.tobytes() == solve_in_parts(ch, 1)[0].tobytes()
 
 
@@ -432,8 +496,8 @@ def route_bits(ch):
 @pytest.mark.parametrize("parts", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 257])
 def test_long_rows_take_the_short_routes_bits(monkeypatch, n, parts):
-    # the composite, top and power of a long row, and its split sort, which
-    # sorts +0.0 and -0.0 keys in any order, against the short route; rows
+    # the composite, top and power of a long row, and its stable sort, which
+    # keys +0.0 and -0.0 alike, against the short route; rows
     # of 2 to 4 entries split into parts of no entry or one. Exact
     # rows give the same bits at any part count, and so do Rayleigh rows,
     # whose folded angles differ; those from two entries: numpy multiplies a
