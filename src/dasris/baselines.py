@@ -115,7 +115,14 @@ def greedy_bitflip(ch: ChannelRealization, start: PhaseConfig, max_sweeps: int =
 
 
 def random_best_of_k(ch: ChannelRealization, k: int, seed: int) -> Solution:
-    """Best of k configurations drawn uniformly at random (seeded)."""
+    """Best of k configurations drawn uniformly at random (seeded).
+
+    Raises ValueError unless k is an integer >= 1.
+    """
+    try:  # operator.index takes ints and numpy integers, not 2.5 or 2.0
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"k must be an integer, not {k!r}") from None
     if k < 1:
         raise ValueError("k must be >= 1")
     phi_bar = composite_phi(ch)

@@ -55,8 +55,6 @@ def _csv_ints(text: str) -> tuple[int, ...]:
         values = tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one integer")
     return values
 
 

@@ -32,24 +32,17 @@ which orders a run as the row's length and layout lead it to; the long
 route orders every run by index.
 
 A long row, one of N+1 >= 2 * _PART_MIN entries (_long, the one test of
-that length), takes a route of its own, _solve_long. It builds its
-composite from (g, h_r, h_d) itself and runs its passes as parts, on
-threads of their own: the product and its top, the rescale and the fold,
-the sort, the gather in sorted order, the scores and their argmax, and the
-configuration with the power's w * g. The passes split by position are
-elementwise, or reductions whose result does not depend on how the row is
-cut: a max, and an argmax whose ties go to the lowest index. The sort,
-_stable_order, sorts packed int64 keys, each an angle's order-preserving
-bits with its position in the cleared low bits, and fixes up the rare
-groups that the cleared bits merged: its order is np.argsort(angles,
-kind="stable") on any part count. The prefix sum runs once over the whole
-row on the calling thread, as a sum whose rounding follows the order in
-which it adds. The power's dot product, model._power, adds fixed chunks in
-a fixed order. So a long row's configuration and power are the same bits
-on any number of cores and of BLAS threads, and the short route's bits
-wherever the angles are distinct or the sums exact. The product goes
-straight into the composite, the packed keys turn into the order in place,
-and w * g is written into the composite that the sweep has spent.
+that length), takes a route of its own, _solve_long. It cuts the row into
+parts, one per usable CPU up to (N+1) // _PART_MIN, and runs each pass on
+threads started and finished within the call; with one part, as on one
+CPU, it starts no thread. What it does not share with the short route is
+only its parts and its sort, _stable_order, a sort of packed int64 keys
+whose order is np.argsort(angles, kind="stable") on any part count. The
+prefix sum and the winner's argmax run on the calling thread over the whole
+row, and the power's dot product, model._power, adds fixed chunks in a
+fixed order. So a long row's configuration and power are the same bits on
+any number of cores and of BLAS threads, and the short route's bits
+wherever the angles are distinct or the sums exact.
 """
 
 from __future__ import annotations
@@ -67,7 +60,6 @@ from .model import (
     PhaseConfig,
     Solution,
     _composite,
-    _overflow_quiet,
     _power,
     _product,
     composite_phi,
@@ -252,19 +244,6 @@ def _best_step_pattern(phi_bar: np.ndarray) -> np.ndarray:
     return w
 
 
-@_overflow_quiet
-def _product_in(h_r: np.ndarray, g: np.ndarray, out: np.ndarray) -> None:
-    """model._product into out with no temporary: conj(h_r) is written there and multiplied in place.
-
-    The same bits as _product on two or more entries. numpy multiplies a
-    lone entry in place by another loop, one without a fused multiply-add:
-    9 of 60 one-entry rows then differed from _product by an ulp, so a part
-    of fewer than two entries takes _product.
-    """
-    np.conjugate(h_r, out=out)
-    np.multiply(out, g, out=out)
-
-
 def _long_composite(g: np.ndarray, h_r: np.ndarray, h_d: complex,
                     cuts: list[int]) -> tuple[np.ndarray, int]:
     """A long row's composite before its rescale, and the rescale's exponent.
@@ -290,10 +269,7 @@ def _long_composite(g: np.ndarray, h_r: np.ndarray, h_d: complex,
         start, stop = cuts[p], cuts[p + 1]
         at = slice(start, min(stop, length - 1))
         # out by position: a keyword costs the decorator's wrapper a dict per call
-        if at.stop - start > 1:
-            _product_in(h_r[at], g[at], phi_bar[at])
-        else:
-            _product(h_r[at], g[at], phi_bar[at])
+        _product(h_r[at], g[at], phi_bar[at])
         if stop == length:  # the last part, never empty
             phi_bar[-1] = h_d.conjugate()
         part = floats[2 * start:2 * stop]
@@ -401,9 +377,9 @@ def _stable_order(folded: np.ndarray, cuts: list[int]) -> tuple[np.ndarray, np.n
     return order, keys
 
 
-def _solve_long(g: np.ndarray, h_r: np.ndarray, h_d: complex, parts: int | None = None,
-                w: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The optimal configuration w of one long channel, and w * g for its power.
+def _solve_long(g: np.ndarray, h_r: np.ndarray, h_d: complex, tx_power: float,
+                parts: int | None = None, w: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """The optimal configuration w of one long channel, and its received power.
 
     g and h_r are (N,) and h_d is a Python complex; w, an (N,) int64
     buffer, takes the configuration when given. The row runs as parts
@@ -413,18 +389,17 @@ def _solve_long(g: np.ndarray, h_r: np.ndarray, h_d: complex, parts: int | None 
     2. the rescale by the largest top's exponent, and the fold;
     3. to 5. the stable order and the sorted keys (_stable_order);
     6. the entries gathered in that order;
-    7. the scores and each part's argmax;
+    7. the scores, with the splits inside runs masked;
     8. the configuration, and w * g written into the spent composite.
 
     Every round cuts the row by position, at the same places, except the
     sort, whose two sorts each take a thread. Between rounds the calling
     thread takes what needs the whole row: the largest top, the order's
-    fix-up, the prefix sum and the winner. The scores' run-end mask
-    compares a part's last key with the next part's first, and the winner
-    is the best of the parts' argmaxes, the lowest index winning ties, as
-    one argmax over the row picks it. The order is the stable one, so ties
-    keep their index order and every part count adds the same sums.
-    Returns w and w * g, a view of the composite.
+    fix-up, the prefix sum and the winner, the first of the scores' maxima
+    as on the short route. The scores' run-end mask compares a part's last
+    key with the next part's first. The order is the stable one, so ties
+    keep their index order and every part count adds the same sums. The
+    power is model._power's, of w * g.
     """
     length = len(g) + 1
     if parts is None:
@@ -461,28 +436,22 @@ def _solve_long(g: np.ndarray, h_r: np.ndarray, h_d: complex, parts: int | None 
     total = prefix[-1]
     # the order is done with: its buffer takes the scores
     scores = order.view(np.float64)
-    best = [(-math.inf, 0)] * parts
 
     def score(p):
         start, stop = cuts[p], cuts[p + 1]
-        if start == stop:
-            return
         # the spent composite takes 2 * prefix - total
         twice = np.multiply(prefix[start:stop], 2.0, out=phi_bar[start:stop])
         twice -= total
-        part = np.abs(twice, out=scores[start:stop])
+        np.abs(twice, out=scores[start:stop])
         # a split followed by an equal key, the next part's first one
         # included, lies inside a run: never the winner
         end = min(stop, length - 1)
         np.copyto(scores[start:end], -1.0, where=keys[start + 1:end + 1] == keys[start:end])
-        k = int(part.argmax())
-        best[p] = (part[k], start + k)
 
     _run_parts(score, parts)
-    # max returns the first of equal scores: the lowest part, and so the
-    # lowest index. The winner k is a run end, so the winning prefix holds
-    # exactly the entries whose key is at most keys[k]
-    bound = float(keys[max(best, key=lambda part: part[0])[1]])
+    # the winner k is a run end, so the winning prefix holds exactly the
+    # entries whose key is at most keys[k]
+    bound = float(keys[scores.argmax()])
     del order, prefix, keys, scores
     # +1 where an entry's sign agrees with its direct-link entry's: the
     # winning sign vector's -1 entries are those in the prefix and flipped
@@ -500,7 +469,7 @@ def _solve_long(g: np.ndarray, h_r: np.ndarray, h_d: complex, parts: int | None 
         np.multiply(w[at], g[at], out=wg[at])
 
     _run_parts(configure, parts)
-    return w, wg
+    return w, _power(h_r, wg, h_d, tx_power)
 
 
 def das_solve(ch: ChannelRealization) -> Solution:
@@ -516,15 +485,14 @@ def das_solve(ch: ChannelRealization) -> Solution:
     g = ch.g
     length = len(g) + 1
     if _long(length):
-        w, wg = _solve_long(g, ch.h_r, ch.h_d)
+        w, power = _solve_long(g, ch.h_r, ch.h_d, ch.tx_power)
     else:
         w = _best_step_pattern(composite_phi(ch))
         # a fresh product: w * g into the spent composite, as a long row
         # takes it, gives the same bits but costs a short solve 0.3 to 0.5 us
         # (das_solve 0.6% to 2.4% slower at N = 8 to 256, see CHANGES.md)
-        wg = w * g
-    return Solution(PhaseConfig._trusted(w),
-                    _power(ch.h_r, wg, ch.h_d, ch.tx_power), length)
+        power = _power(ch.h_r, w * g, ch.h_d, ch.tx_power)
+    return Solution(PhaseConfig._trusted(w), power, length)
 
 
 def das_solve_block(
@@ -557,11 +525,7 @@ def das_solve_block(
         w = np.empty(g.shape, dtype=np.int64)
         powers = []
         for t in range(len(g)):
-            h_d_t = complex(h_d[t])
-            # no name holds a row's w * g, a view of its composite, into the
-            # next row's solve
-            powers.append(_power(h_r[t], _solve_long(g[t], h_r[t], h_d_t, w=w[t])[1],
-                                 h_d_t, tx_power))
+            powers.append(_solve_long(g[t], h_r[t], complex(h_d[t]), tx_power, w=w[t])[1])
         return w, powers
     w = _best_step_pattern(_composite(g, h_r, h_d))
     return w, _power(h_r, w * g, h_d, tx_power)

@@ -19,6 +19,7 @@ import csv
 import functools
 import io
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,8 @@ class ChannelParams:
     """Statistical parameters for drawing random channel realizations.
 
     beta_* are per-entry variances of the circularly-symmetric complex
-    Gaussian entries. With los=False the direct link is exactly zero.
+    Gaussian entries. With los=False the direct link is exactly zero; los
+    must be a Python or numpy bool.
     """
 
     beta_g: float = 1.0
@@ -66,6 +68,9 @@ class ChannelParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0")
+        # an int would draw 2 * los normals for h_d, and another type fail later
+        if not isinstance(self.los, (bool, np.bool_)):
+            raise ValueError(f"los must be a bool, not {self.los!r}")
         _check_powers(self.noise_power, self.tx_power)
 
 
@@ -164,7 +169,19 @@ _overflow_quiet = np.errstate(over="ignore", invalid="ignore")
 
 @_overflow_quiet
 def _product(h_r: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The composite product conj(h_r) * g; an overflow gives inf or nan, not a warning."""
+    """The composite product conj(h_r) * g; an overflow gives inf or nan, not a warning.
+
+    A 1-D out of two or more entries takes conj(h_r) and is multiplied in
+    place, with no temporary: the same bits as through one. Every other
+    out keeps the temporary, as numpy's in-place loop differs there by an
+    ulp. It multiplies a lone entry without a fused multiply-add (9 of 60
+    one-entry rows differed), and a (T, 1) block's strided column by
+    another loop than a channel alone (15 of the 40 rows of
+    draw_channels(1, range(100, 140), beta_g=2) differed).
+    """
+    if out is not None and out.ndim == 1 and len(out) > 1:
+        np.conjugate(h_r, out=out)
+        return np.multiply(out, g, out=out)
     return np.multiply(np.conj(h_r), g, out)
 
 
@@ -177,7 +194,7 @@ def _composite(g: np.ndarray, h_r: np.ndarray, h_d) -> np.ndarray:
     unchanged. Raises ValueError when a product conj(h_r) * g overflows, or
     when g, h_r or h_d holds a NaN or inf.
     This is the composite of a short row and of a block: das builds a long
-    row's composite itself (das._long_composite), with the same bits.
+    row's composite in parts (das._long_composite), with the same bits.
     """
     # the product goes straight into phi_bar, so phi needs no copy of its
     # own, and an overflow shows as a non-finite top below; out by position:
@@ -201,11 +218,6 @@ def _composite(g: np.ndarray, h_r: np.ndarray, h_d) -> np.ndarray:
         np.ldexp(floats, -math.frexp(top)[1], out=floats)
         return phi_bar
     phi_bar = np.empty(g.shape[:-1] + (g.shape[-1] + 1,), dtype=complex)
-    # not in place: conjugating h_r into phi_bar and multiplying there makes
-    # numpy take another complex-multiply loop for a (T, 1) block's strided
-    # column than for a channel alone; 15 of the 40 rows of
-    # draw_channels(1, range(100, 140), beta_g=2) then differed from their
-    # channel's composite by 1 ulp
     _product(h_r, g, phi_bar[..., :-1])
     phi_bar[..., -1] = h_d.conjugate()
     floats = phi_bar.view(np.float64)
@@ -265,19 +277,30 @@ def _power(h_r: np.ndarray, wg: np.ndarray, h_d, tx_power: float):
     # interleaved rounds)
     if h_r.ndim == 1 and len(h_r) <= _DOT_CHUNK:
         return _amp_power(complex(np.vdot(h_r, wg)) + h_d.conjugate(), tx_power)
+    amps = _amplitudes(h_r, wg, h_d)
+    if h_r.ndim == 1:
+        return _amp_power(complex(amps), tx_power)
+    return [_amp_power(amp, tx_power) for amp in amps.tolist()]
+
+
+@_overflow_quiet  # np.vecdot is a ufunc: an overflow would warn, not give inf
+def _amplitudes(h_r: np.ndarray, wg: np.ndarray, h_d) -> np.ndarray:
+    """h_r^H wg + conj(h_d) along the last axis, as _power sums it with np.vecdot.
+
+    A row is summed as its whole chunks of _DOT_CHUNK, added left to right,
+    then its remainder; a row of _DOT_CHUNK entries or fewer is all
+    remainder.
+    """
     n = h_r.shape[-1]
-    if n <= _DOT_CHUNK:
-        dots = np.vecdot(h_r, wg)
-    else:
-        whole = n - n % _DOT_CHUNK
+    whole = n - n % _DOT_CHUNK
+    dots = np.vecdot(h_r[..., whole:], wg[..., whole:])
+    if whole:
         chunks = h_r.shape[:-1] + (-1, _DOT_CHUNK)
         sums = np.vecdot(h_r[..., :whole].reshape(chunks), wg[..., :whole].reshape(chunks))
         # accumulate adds in order, where a reduce would add pairwise
         np.add.accumulate(sums, axis=-1, out=sums)
-        dots = sums[..., -1] + np.vecdot(h_r[..., whole:], wg[..., whole:])
-    if h_r.ndim == 1:
-        return _amp_power(complex(dots) + h_d.conjugate(), tx_power)
-    return [_amp_power(amp, tx_power) for amp in (dots + h_d.conjugate()).tolist()]
+        dots = sums[..., -1] + dots
+    return dots + h_d.conjugate()
 
 
 def received_power(ch: ChannelRealization, config: PhaseConfig) -> float:
@@ -484,8 +507,13 @@ def draw_channels(
     When at least _BLOCK_ROWS seeds are ints (or numpy integers) in
     [0, 2^64), their SeedSequence words are mixed column-wise and each of
     their rows is drawn by a PCG64 seeded with its own words. Every other row goes through
-    np.random.default_rng(seed) itself, with numpy's own errors.
+    np.random.default_rng(seed) itself, with numpy's own errors. Raises
+    ValueError unless n is an integer >= 1.
     """
+    try:  # operator.index takes ints and numpy integers, not 4.7 or 4.0
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be an integer, not {n!r}") from None
     if n < 1:
         raise ValueError("n must be >= 1")
     normals = np.empty((len(seeds), 4 * n + 2 * params.los))
@@ -523,7 +551,7 @@ def generate_channel(n: int, seed: int, params: ChannelParams | None = None) -> 
     params.los is false.
 
     Args:
-        n: number of surface elements, must be >= 1.
+        n: number of surface elements, an integer >= 1.
         seed: seed for the generator.
         params: channel statistics; defaults to ChannelParams().
 

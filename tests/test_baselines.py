@@ -189,6 +189,11 @@ def test_random_best_of_k_validates_k():
     ch = generate_channel(4, 0)
     with pytest.raises(ValueError):
         random_best_of_k(ch, 0, seed=1)
+    for k in (2.0, 2.5, "2", None):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            random_best_of_k(ch, k, seed=0)
+    a, b = random_best_of_k(ch, np.int64(2), seed=0), random_best_of_k(ch, 2, seed=0)
+    assert (a.config.w.tobytes(), a.power) == (b.config.w.tobytes(), b.power)
 
 
 def test_random_improves_with_more_draws():

@@ -2,6 +2,7 @@ import csv
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -74,6 +75,16 @@ def test_solve_power_overflow_is_input_error(tmp_path, capsys, verify):
     assert "overflow" in err
 
 
+def test_compare_power_overflow_is_input_error_without_a_warning(tmp_path, capsys):
+    argv = ["compare", "--n", "4", "--trials", "2", "--beta-g", "1e308", "--beta-r", "1e308",
+            "--out", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: received power overflows")
+
+
 def test_solve_overflowing_composite_is_input_error(tmp_path, capsys):
     # g and h_r are finite, their product conj(h_r) * g is not
     path = tmp_path / "huge.csv"
@@ -124,6 +135,14 @@ def test_exhaustive_limit_is_not_an_option(command, capsys):
         main(command + ["--exhaustive-limit", "40"])
     assert exc.value.code == 2
     assert "--exhaustive-limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sizes", ["", "4,", "4,,8", "4.0", "x"])
+def test_sizes_that_are_not_comma_separated_integers_are_usage_errors(sizes, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--n", sizes])
+    assert exc.value.code == 2
+    assert "expected comma-separated integers" in capsys.readouterr().err
 
 
 def test_gen_writes_channel(tmp_path, capsys):

@@ -278,6 +278,22 @@ def scaled_channel(ch, c):
                               noise_power=ch.noise_power, tx_power=ch.tx_power)
 
 
+def test_a_power_summed_by_vecdot_overflows_to_value_error_without_a_warning():
+    # a row past model._DOT_CHUNK and a block sum their powers with np.vecdot,
+    # a ufunc, which warns where np.vdot on a shorter row does not
+    n = 20_000
+    ch = make_channel(np.full(n, 1e154), np.full(n, 1e153), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow"):
+            das_solve(ch)
+        with pytest.raises(ValueError, match="overflow"):
+            received_power(ch, PhaseConfig(np.ones(n)))
+        with pytest.raises(ValueError, match="overflow"):
+            das_solve_block(np.full((2, 50), 1e154 + 0j), np.full((2, 50), 1e153 + 0j),
+                            np.ones(2, dtype=complex), 1.0)
+
+
 def test_power_past_the_largest_float_is_rejected():
     ch = generate_channel(8, 3)
     huge = scaled_channel(ch, 1e160)

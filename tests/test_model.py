@@ -104,6 +104,19 @@ def test_composite_phi_rejects_an_overflowing_product_without_a_warning(g, h_r):
             model._composite(ch.g[None], ch.h_r[None], np.array([ch.h_d]))
 
 
+def test_a_product_into_a_row_has_the_bits_of_one_through_a_temporary():
+    # a row of two or more entries is multiplied in place, where conj(h_r)
+    # was written; a lone entry goes through a temporary
+    rng = np.random.default_rng(523)
+    for n in range(1, 301):
+        for _ in range(4):
+            g, h_r = (rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))) \
+                * np.ldexp(1.0, rng.integers(-30, 30, (2, 1)))
+            phi_bar = np.empty(n + 1, dtype=complex)
+            model._product(h_r, g, phi_bar[:-1])
+            assert phi_bar[:-1].tobytes() == (np.conj(h_r) * g).tobytes(), n
+
+
 SMALL_PARTS = st.integers(min_value=-8, max_value=8)
 
 
@@ -284,6 +297,31 @@ def test_generate_channel_is_deterministic():
 def test_generate_channel_rejects_empty():
     with pytest.raises(ValueError):
         generate_channel(0, 1)
+
+
+@pytest.mark.parametrize("los", [2, 1, 0, "no", None, 1.0])
+def test_channel_params_rejects_a_los_that_is_not_a_bool(los):
+    # an int would draw two normals for h_d per unit of los
+    with pytest.raises(ValueError, match="los"):
+        ChannelParams(los=los)
+
+
+def test_channel_params_takes_a_numpy_bool_as_los():
+    for los in (True, False):
+        ch = generate_channel(16, 7, ChannelParams(los=np.bool_(los)))
+        assert ch.h_d == generate_channel(16, 7, ChannelParams(los=los)).h_d
+
+
+@pytest.mark.parametrize("n", [4.0, 4.5, "4", None])
+def test_a_channel_size_that_is_not_an_integer_is_rejected(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        generate_channel(n, 1)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        draw_channels(n, [1, 2], ChannelParams())
+
+
+def test_a_numpy_integer_channel_size_is_taken():
+    assert np.array_equal(generate_channel(np.int64(4), 1).g, generate_channel(4, 1).g)
 
 
 def test_generate_channel_no_los_zeroes_direct_link_only():

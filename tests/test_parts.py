@@ -35,7 +35,6 @@ from dasris.das import (
 from dasris.harness import ExperimentPlan, run_plan
 from dasris.model import (
     ChannelParams,
-    _power,
     composite_phi,
     draw_channels,
     generate_channel,
@@ -53,8 +52,7 @@ PARTS = (1, 2, 3, 4)
 
 def solve_in_parts(ch, parts):
     """das_solve's long route with the part count forced: (config, power)."""
-    w, wg = _solve_long(ch.g, ch.h_r, ch.h_d, parts)
-    return w, _power(ch.h_r, wg, ch.h_d, ch.tx_power)
+    return _solve_long(ch.g, ch.h_r, ch.h_d, ch.tx_power, parts)
 
 
 def long_composite(ch, parts):
@@ -408,7 +406,7 @@ def test_a_bad_row_raises_from_its_part_without_a_warning(monkeypatch, parts):
         for what, g, h_r, h_d in bad_rows(39, parts):
             del started[:]
             with pytest.raises(ValueError, match="composite coefficient") as raised:
-                _solve_long(g, h_r, h_d, parts)
+                _solve_long(g, h_r, h_d, 1.0, parts)
             assert raised.traceback[-1].name == "product", what
             assert len(started) == parts - 1, what
 
