@@ -198,6 +198,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     records = run_plan(_plan(args))
     rows = aggregate(records)
+    # the file first: an I/O error then leaves nothing on stdout
+    if args.out is not None:
+        with open(args.out, "w", newline="") as fp:
+            write_aggregate_csv(rows, fp)
+        print(f"wrote {args.out}", file=sys.stderr)
     header = f"{'n':>6}  {'method':<10}  {'mean_snr_db':>12}  {'mean_power':>12}  {'optimality':>10}  {'total_s':>9}"
     print(header)
     for row in rows:
@@ -206,10 +211,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
             f"{row.n:>6}  {row.method:<10}  {row.mean_snr_db:>12.4f}  "
             f"{row.mean_power:>12.4f}  {rate:>10}  {row.total_time:>9.4f}"
         )
-    if args.out is not None:
-        with open(args.out, "w", newline="") as fp:
-            write_aggregate_csv(rows, fp)
-        print(f"wrote {args.out}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -305,15 +305,14 @@ def _sortable(ints: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def _stable_order(folded: np.ndarray, cuts: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """np.argsort(folded + 0.0, kind="stable") of a long row, and folded sorted.
 
-    The row runs as the parts that cuts sets, in three rounds of _run_parts:
+    The row runs as the parts that cuts sets, in two rounds of _run_parts:
 
     1. by position: each entry's packed key, the order-preserving int64 of
        its angle (+ 0.0, so that -0.0 keys as +0.0) with its low bits
        cleared and its position written there, and the angles + 0.0;
-    2. the packed keys sorted on one thread, the angles on another;
-    3. by sorted position: the order read from the packed keys' low bits,
-       in place, and the adjacent sorted angles that differ in the cleared
-       bits alone.
+    2. on one thread, the packed keys sorted and the order read from their
+       low bits, in place; on another, the angles sorted and the adjacent
+       sorted angles that differ in the cleared bits alone.
 
     Equal truncated keys sort by position, so a group of them is out of
     order only where it holds two angles. The calling thread sorts each such
@@ -335,33 +334,29 @@ def _stable_order(folded: np.ndarray, cuts: list[int]) -> tuple[np.ndarray, np.n
         part |= np.arange(start, stop)
 
     _run_parts(pack, parts)
+    mixed = None
 
     def sort(p):
+        nonlocal mixed
         # numpy sorts 64-bit keys with SIMD code (AVX-512 where the CPU has
         # it), which its argsort mostly lacks
         if p == 0:
             order.sort()
+            np.bitwise_and(order, low, out=order)
         if p == 1 or parts == 1:
             keys.sort()
+            # keys holds no -0.0, so two adjacent keys differ in the cleared
+            # bits alone where their bits XOR to 1 to low (keys of two signs
+            # XOR to below 0)
+            ints = keys.view(np.int64)
+            differ = ints[1:] ^ ints[:-1]
+            differ -= 1
+            mixed = ints[:-1][differ.view(np.uint64) < low]
 
     _run_parts(sort, min(parts, 2))
-    mixed = [None] * parts
-
-    def split(p):
-        start, stop = cuts[p], cuts[p + 1]
-        order[start:stop] &= low
-        # keys holds no -0.0, so two adjacent keys differ in the cleared
-        # bits alone where their bits XOR to 1 to low (keys of two signs XOR
-        # to below 0); the pairs run up to the next part's first key
-        ints = keys[start:min(stop + 1, length)].view(np.int64)
-        differ = ints[1:] ^ ints[:-1]
-        differ -= 1
-        mixed[p] = ints[:-1][differ.view(np.uint64) < low]
-
-    _run_parts(split, parts)
     # each group's truncated key, and the smallest angles of it and of the
     # next: multiples of 2^bits, so neither maps back to -0.0
-    groups = np.unique(_sortable(np.concatenate(mixed)) >> bits)
+    groups = np.unique(_sortable(mixed) >> bits)
     firsts = np.searchsorted(keys, _sortable(groups << bits).view(np.float64))
     nexts = np.searchsorted(keys, _sortable((groups + 1) << bits).view(np.float64))
     for lo, hi in zip(firsts.tolist(), nexts.tolist()):
@@ -383,14 +378,14 @@ def _solve_long(g: np.ndarray, h_r: np.ndarray, h_d: complex, tx_power: float,
 
     g and h_r are (N,) and h_d is a Python complex; w, an (N,) int64
     buffer, takes the configuration when given. The row runs as parts
-    parts (default _part_count(N+1)), in eight rounds of _run_parts:
+    parts (default _part_count(N+1)), in seven rounds of _run_parts:
 
     1. the composite's product and each part's top (_long_composite);
     2. the rescale by the largest top's exponent, and the fold;
-    3. to 5. the stable order and the sorted keys (_stable_order);
-    6. the entries gathered in that order;
-    7. the scores, with the splits inside runs masked;
-    8. the configuration, and w * g written into the spent composite.
+    3. and 4. the stable order and the sorted keys (_stable_order);
+    5. the entries gathered in that order;
+    6. the scores, with the splits inside runs masked;
+    7. the configuration, and w * g written into the spent composite.
 
     Every round cuts the row by position, at the same places, except the
     sort, whose two sorts each take a thread. Between rounds the calling

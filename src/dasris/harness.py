@@ -14,8 +14,9 @@ bookkeeping are excluded.
 A cell's trial seeds are derived in one pass too: _trial_seed_block runs
 numpy's SeedSequence mixing column by column over the cell's trials, bit for
 bit what SeedSequence((base_seed, n, trial)) gives each trial alone, and
-draw_channels seeds its rows the same way. Small cells and unusual seeds
-go through numpy itself.
+draw_channels seeds its rows the same way. Small cells, unusual seeds and
+trial entropies wider than SeedSequence's four-word pool go through numpy
+itself.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .das import das_solve_block
 from .model import (
     _BLOCK_ROWS,
     _MASK32,
+    _POOL_SIZE,
     ChannelParams,
     ChannelRealization,
     _fmt,
@@ -179,18 +181,20 @@ def _trial_seed_block(base_seed: int, n: int, trials) -> np.ndarray:
     Row i is SeedSequence((base_seed, n, trials[i])).generate_state(2,
     np.uint64): the channel seed, then the sampling seed. When trials is a
     range of at least _BLOCK_ROWS trials in [0, 2^32), and base_seed and n
-    are ints >= 0, every trial's entropy has the same words but the last,
-    and the rows are mixed column-wise by _seed_state in one pass. Otherwise
-    numpy's SeedSequence builds each row, with numpy's own errors.
+    are ints >= 0 that with a trial make at most _POOL_SIZE entropy words,
+    every trial's entropy has the same words but the last, and the rows are
+    mixed column-wise by _seed_state in one pass. Otherwise numpy's
+    SeedSequence builds each row, with numpy's own errors.
     """
     if (isinstance(trials, range) and len(trials) >= _BLOCK_ROWS and trials.step > 0
             and trials.start >= 0 and trials.stop <= _MASK32 + 1
             and type(base_seed) is int and type(n) is int and min(base_seed, n) >= 0):
         head = _int_words(base_seed) + _int_words(n)
-        entropy = np.empty((len(head) + 1, len(trials)), dtype=np.uint32)
-        entropy[:-1] = np.array(head, dtype=np.uint32)[:, None]
-        entropy[-1] = np.arange(trials.start, trials.stop, trials.step)
-        return _seed_state(entropy, 2).T
+        if len(head) < _POOL_SIZE:
+            entropy = np.empty((len(head) + 1, len(trials)), dtype=np.uint32)
+            entropy[:-1] = np.array(head, dtype=np.uint32)[:, None]
+            entropy[-1] = np.arange(trials.start, trials.stop, trials.step)
+            return _seed_state(entropy, 2).T
     return np.array(
         [np.random.SeedSequence((base_seed, n, t)).generate_state(2, np.uint64) for t in trials],
         dtype=np.uint64).reshape(len(trials), 2)

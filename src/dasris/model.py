@@ -373,18 +373,17 @@ def _columns(*rows: list[int]) -> tuple[np.ndarray, ...]:
     return tuple(np.array(row, dtype=np.uint32)[:, None] for row in rows)
 
 
-@functools.lru_cache(maxsize=None)
-def _pool_constants(length: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(xor, multiplier) columns for each pool stage of SeedSequence, L = length words.
+@functools.cache
+def _pool_constants() -> list[tuple[np.ndarray, np.ndarray]]:
+    """(xor, multiplier) columns for each pool stage of SeedSequence.
 
     numpy calls hashmix once per pool word, then once per ordered pair of
-    pool words, then once per pool word for each entropy word past the pool
-    size. Call k xors hash constant k and multiplies by constant k + 1. The
-    calls are grouped into stages that run at once over the pool's rows; in
-    a pair stage the source row's own slot holds 0s and is not used.
+    pool words; an entropy of at most _POOL_SIZE words makes no other call.
+    Call k xors hash constant k and multiplies by constant k + 1. The calls
+    are grouped into stages that run at once over the pool's rows; in a
+    pair stage the source row's own slot holds 0s and is not used.
     """
-    extra = max(0, length - _POOL_SIZE)
-    stream = _hash_stream(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + extra) + 1)
+    stream = _hash_stream(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE + 1)
     stages = [_columns(stream[:_POOL_SIZE], stream[1:_POOL_SIZE + 1])]
     at = _POOL_SIZE
     for src in range(_POOL_SIZE):
@@ -394,9 +393,6 @@ def _pool_constants(length: int) -> list[tuple[np.ndarray, np.ndarray]]:
                 xor[dst], mult[dst] = stream[at], stream[at + 1]
                 at += 1
         stages.append(_columns(xor, mult))
-    for _ in range(extra):
-        stages.append(_columns(stream[at:at + _POOL_SIZE], stream[at + 1:at + _POOL_SIZE + 1]))
-        at += _POOL_SIZE
     return stages
 
 
@@ -425,24 +421,23 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _seed_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
     """SeedSequence(words).generate_state(n_words, np.uint64) for every column of entropy.
 
-    entropy is an (L, T) uint32 array whose column t holds the L entropy
-    words of one seed, as numpy assembles them (low word first, one word for
-    0). Runs numpy's pool hash, its all-pairs mix and, for L above the pool
-    size, its extra-entropy loop, then generate_state, each step over all T
-    columns at once. Returns an (n_words, T) uint64 array whose column t is
-    bit for bit numpy's output for column t alone.
+    entropy is an (L, T) uint32 array, L <= _POOL_SIZE, whose column t holds
+    the L entropy words of one seed, as numpy assembles them (low word
+    first, one word for 0). Runs numpy's pool hash, its all-pairs mix and
+    generate_state, each step over all T columns at once. Returns an
+    (n_words, T) uint64 array whose column t is bit for bit numpy's output
+    for column t alone. A longer entropy raises ValueError: numpy mixes its
+    extra words in a loop that this does not run.
     """
-    length = entropy.shape[0]
-    first, *stages = _pool_constants(length)
+    first, *stages = _pool_constants()
     pool = np.zeros((_POOL_SIZE, entropy.shape[1]), dtype=np.uint32)
-    pool[:length] = entropy[:_POOL_SIZE]  # a missing word hashes as 0
+    # a missing word hashes as 0; a fifth word has no row and fails to broadcast
+    pool[:len(entropy)] = entropy
     pool = _hashmix(pool, *first)
-    for src, consts in enumerate(stages[:_POOL_SIZE]):
+    for src, consts in enumerate(stages):
         keep = pool[src].copy()  # mixes into every other row, not its own
         pool = _mix(pool, _hashmix(keep, *consts))
         pool[src] = keep
-    for word, consts in zip(entropy[_POOL_SIZE:], stages[_POOL_SIZE:]):
-        pool = _mix(pool, _hashmix(word, *consts))
     rows, xor, mult = _state_constants(2 * n_words)
     state = _hashmix(pool[rows], xor, mult).astype(np.uint64)
     return state[0::2] | state[1::2] << np.uint64(32)  # little-endian word pairs
@@ -473,8 +468,8 @@ def _row_seed_type() -> type:
     return RowSeed
 
 
-def _draw_seeded(normals: np.ndarray, seeds: dict[int, int]) -> None:
-    """Fill normals[row] as np.random.default_rng(seed) would, for each row -> seed.
+def _draw_seeded(normals: np.ndarray, seeds: list[int]) -> None:
+    """Fill normals[t] as np.random.default_rng(seeds[t]) would, for every row t.
 
     Every seed is an int in [0, 2^64). The seeds' SeedSequence states come
     from _seed_state, one C-contiguous (4,) uint64 row per seed, and each
@@ -482,14 +477,14 @@ def _draw_seeded(normals: np.ndarray, seeds: dict[int, int]) -> None:
     so PCG64 runs its own 128-bit seeding on exactly the words
     SeedSequence(seed) would give it.
     """
-    values = np.array(list(seeds.values()), dtype=np.uint64)
+    values = np.array(seeds, dtype=np.uint64)
     # numpy gives a seed below 2^32 one entropy word, but it hashes a missing
     # pool word as 0, so the words (seed, 0) give the same state
     words = np.stack((values, values >> np.uint64(32))).astype(np.uint32)
     row_seed = _row_seed_type()
     pcg64, generator = np.random.PCG64, np.random.Generator
-    for row, state in zip(seeds, _seed_state(words, 4).T.copy()):
-        generator(pcg64(row_seed(state))).standard_normal(out=normals[row])
+    for row, state in zip(normals, _seed_state(words, 4).T.copy()):
+        generator(pcg64(row_seed(state))).standard_normal(out=row)
 
 
 def draw_channels(
@@ -504,11 +499,11 @@ def draw_channels(
     Gaussian with the per-entry variance from params; h_d is exactly 0 when
     params.los is false. The block is checked once: every entry is finite.
 
-    When at least _BLOCK_ROWS seeds are ints (or numpy integers) in
-    [0, 2^64), their SeedSequence words are mixed column-wise and each of
-    their rows is drawn by a PCG64 seeded with its own words. Every other row goes through
-    np.random.default_rng(seed) itself, with numpy's own errors. Raises
-    ValueError unless n is an integer >= 1.
+    When there are at least _BLOCK_ROWS seeds and every one is an int (or a
+    numpy integer) in [0, 2^64), their SeedSequence words are mixed
+    column-wise and each row is drawn by a PCG64 seeded with its own words.
+    Otherwise every row goes through np.random.default_rng(seed) itself,
+    with numpy's own errors. Raises ValueError unless n is an integer >= 1.
     """
     try:  # operator.index takes ints and numpy integers, not 4.7 or 4.0
         n = operator.index(n)
@@ -517,19 +512,13 @@ def draw_channels(
     if n < 1:
         raise ValueError("n must be >= 1")
     normals = np.empty((len(seeds), 4 * n + 2 * params.los))
-    block: dict[int, int] = {}  # row -> seed
-    for row, seed in enumerate(seeds):
-        if type(seed) is int or isinstance(seed, np.integer):
-            value = int(seed)
-            if 0 <= value < 1 << 64:
-                block[row] = value
-                continue
-        np.random.default_rng(seed).standard_normal(out=normals[row])
-    if len(block) >= _BLOCK_ROWS:
-        _draw_seeded(normals, block)
+    if len(seeds) >= _BLOCK_ROWS and all(
+            (type(seed) is int or isinstance(seed, np.integer)) and 0 <= int(seed) < 1 << 64
+            for seed in seeds):
+        _draw_seeded(normals, seeds)
     else:
-        for row, seed in block.items():
-            np.random.default_rng(seed).standard_normal(out=normals[row])
+        for row, seed in zip(normals, seeds):
+            np.random.default_rng(seed).standard_normal(out=row)
     g = _complex_gaussian(normals[:, :n], normals[:, n:2 * n], params.beta_g)
     h_r = _complex_gaussian(normals[:, 2 * n:3 * n], normals[:, 3 * n:4 * n], params.beta_r)
     if params.los:

@@ -1,8 +1,10 @@
 import csv
 import math
+import shlex
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -315,6 +317,40 @@ def test_bench_unwritable_out(capsys):
     code = main(["bench", "--n", "4", "--trials", "1",
                  "--out", "/proc/definitely/not/writable"])
     assert code == 3
+
+
+def test_compare_unwritable_out_prints_no_table(tmp_path, capsys):
+    # the aggregate CSV is written before the table, so an I/O error leaves
+    # stdout empty; a file in the path's place makes it unwritable
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["compare", "--n", "4", "--trials", "2", "--out", str(blocker / "x.csv")])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def readme_block(heading, opener):
+    """The first fenced block under a README heading: the lines after its opener."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split(f"\n{heading}\n", 1)[1]
+    return section.split(f"{opener}\n", 1)[1].split("```\n", 1)[0]
+
+
+def test_the_readme_cli_example_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    lines = readme_block("## CLI", "```").splitlines()
+    assert lines
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "dasris"
+        assert main(argv[1:]) == 0, (line, capsys.readouterr().err)
+
+
+def test_the_readme_library_example_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    exec(readme_block("## Library", "```python"), {})
 
 
 def test_compare_prints_table(capsys):

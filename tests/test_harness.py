@@ -228,6 +228,21 @@ def test_trial_seed_block_mixes_a_large_block_column_wise(monkeypatch, count):
     assert calls == ([(3, count)] if count >= _BLOCK_ROWS else [])
 
 
+@pytest.mark.parametrize("base_seed, n", [(2**64, 64), (2**32, 2**32)])
+def test_a_trial_entropy_wider_than_the_pool_goes_through_numpy(monkeypatch, base_seed, n):
+    # base_seed, n and the trial make five entropy words: SeedSequence mixes
+    # the fifth in a loop that the column-wise routine does not run
+    import dasris.harness as harness
+
+    def refuse(entropy, n_words):
+        raise AssertionError("a wide entropy was mixed column-wise")
+
+    monkeypatch.setattr(harness, "_seed_state", refuse)
+    trials = range(3 * _BLOCK_ROWS)
+    block = _trial_seed_block(base_seed, n, trials)
+    assert block.tobytes() == numpy_trial_seeds(base_seed, n, trials).tobytes()
+
+
 def test_trial_seeds_keep_numpy_errors():
     with pytest.raises(ValueError, match="non-negative"):
         trial_seeds(-1, 4, 0)

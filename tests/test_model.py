@@ -398,11 +398,11 @@ def assert_rows_are_default_rng(n, seeds):
         assert row.tobytes() == np.random.default_rng(seed).standard_normal(4 * n + 2).tobytes()
 
 
-@given(st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=8),
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=8),
        st.sampled_from([1, 2, 4]), st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_seed_state_columns_are_numpy_seed_sequence(length, columns, n_words, rnd):
-    # pool hash, all-pairs mix, the extra-entropy loop past 4 words, generate_state
+    # pool hash, all-pairs mix and generate_state, up to the pool's 4 words
     words = [[rnd.getrandbits(32) for _ in range(columns)] for _ in range(length)]
     words[0][0] = 0  # a zero word, as the seed 0 gives
     entropy = np.array(words, dtype=np.uint32)
@@ -411,6 +411,12 @@ def test_seed_state_columns_are_numpy_seed_sequence(length, columns, n_words, rn
     for t in range(columns):
         expected = np.random.SeedSequence(entropy[:, t].copy()).generate_state(n_words, np.uint64)
         assert state[:, t].tobytes() == expected.tobytes()
+
+
+def test_seed_state_refuses_an_entropy_wider_than_the_pool():
+    # numpy mixes a fifth word in a loop the column-wise routine does not run
+    with pytest.raises(ValueError):
+        model._seed_state(np.ones((5, 3), dtype=np.uint32), 2)
 
 
 @given(ones=st.lists(st.one_of(ONE_WORD, ONE_WORD.map(np.uint32)), max_size=2 * _BLOCK_ROWS),
@@ -475,7 +481,7 @@ def test_draw_seeded_rows_get_pcg64s_own_seeding(monkeypatch):
     seeds = list(SHIM_SEEDS) * (_BLOCK_ROWS // len(SHIM_SEEDS) + 1)
     assert len(seeds) >= _BLOCK_ROWS
     normals = np.empty((len(seeds), 7))
-    model._draw_seeded(normals, dict(enumerate(seeds)))
+    model._draw_seeded(normals, seeds)
     assert asked == [(4, np.uint64)] * len(seeds)
     assert states == [np.random.PCG64(seed).state for seed in seeds]
     for row, seed in zip(normals, seeds):
@@ -510,6 +516,19 @@ def test_draw_channels_leaves_other_seeds_to_numpy(bad):
             draw_channels(4, seeds, ChannelParams())
     else:
         assert_rows_are_default_rng(4, seeds)
+
+
+@pytest.mark.parametrize("bad", [2**64, True])
+def test_one_seed_outside_the_block_range_draws_every_row_through_numpy(monkeypatch, bad):
+    # seeds that default_rng takes but the column-wise route does not: the
+    # whole block goes through numpy, and every row keeps default_rng's bytes
+    def refuse(normals, seeds):
+        raise AssertionError("a block with an ineligible seed was drawn column-wise")
+
+    monkeypatch.setattr(model, "_draw_seeded", refuse)
+    seeds = list(range(2 * _BLOCK_ROWS))
+    seeds.insert(_BLOCK_ROWS, bad)
+    assert_rows_are_default_rng(4, seeds)
 
 
 def test_generate_channel_copies_params():

@@ -281,12 +281,12 @@ def test_run_parts_runs_every_part_once():
 
 
 @pytest.mark.parametrize("parts", [2, 3])
-def test_a_split_solve_starts_eight_thread_rounds(monkeypatch, parts):
-    # seven thread rounds of parts - 1 threads each: the product and its top,
-    # the rescale and the fold, the packed keys, the order, the gather, the
-    # scores, and the configuration; and the sort round's one thread, for
-    # its second sort. The order's fix-up, the prefix sum and the power's
-    # dot product start none
+def test_a_split_solve_starts_seven_thread_rounds(monkeypatch, parts):
+    # six thread rounds of parts - 1 threads each: the product and its top,
+    # the rescale and the fold, the packed keys, the gather, the scores, and
+    # the configuration; and the sort round's one thread, for its second
+    # sort and the scan for mixed groups. The order's fix-up, the prefix sum
+    # and the power's dot product start none
     started = counted_threads(monkeypatch)
     # the row made long and its part count forced, so the count holds on any
     # number of cores
@@ -294,7 +294,7 @@ def test_a_split_solve_starts_eight_thread_rounds(monkeypatch, parts):
     monkeypatch.setattr(das, "_part_count", lambda length: parts)
     ch = generate_channel(1000, 21)
     w = das_solve(ch).config.w
-    assert len(started) == 7 * (parts - 1) + 1
+    assert len(started) == 6 * (parts - 1) + 1
     assert w.tobytes() == solve_in_parts(ch, 1)[0].tobytes()
 
 
