@@ -138,6 +138,32 @@ def _run_parts(work, parts: int) -> None:
         raise errors[0]
 
 
+# the sign bit of a float64, as an int64: XORed into a float's bits, it negates it
+_SIGN = np.int64(-2**63)
+# a fold of fewer entries negates with numpy's masked loop, which costs less
+# there than the sign-bit XOR's three ufunc calls; from about 1,000 entries
+# on the XOR costs less, as the masked loop branches entry by entry on the
+# half of a fresh row that it negates (timeit, 2-vCPU VM, random rows: 0.73
+# against 2.25 us at 9 entries, 1.76 against 2.67 us at 257, 4.38 against
+# 4.38 us at 1,025, 36.8 against 15.6 us on a (100, 65) block, 7.8 against
+# 2.3 ms at 2^20)
+_MASKED_MAX = 1024
+
+
+def _negate(z: np.ndarray, where: np.ndarray, sign: np.ndarray) -> None:
+    """Negate z in place where where holds: np.negative's bits, with no masked loop.
+
+    sign, an int64 buffer of where's shape, takes each entry's sign bit
+    first. It is XORed into the real parts and then the imaginary parts, two
+    long strided passes, which cost less than one broadcast over a trailing
+    axis of 2. Signed zeros and subnormals flip as np.negative flips them.
+    """
+    np.multiply(where, _SIGN, out=sign)
+    ints = z.view(np.int64)
+    ints[..., 0::2] ^= sign
+    ints[..., 1::2] ^= sign
+
+
 def _fold_half(z: np.ndarray, folded: np.ndarray | None = None,
                flip: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Fold z in place into [-pi/2, pi/2]; returns its folded angles and flip mask.
@@ -147,10 +173,22 @@ def _fold_half(z: np.ndarray, folded: np.ndarray | None = None,
     the atan2 against |re| keeps a -0.0 real part from reading as pi.
     Zero-magnitude entries fold to angle 0 with no flip. Writes into folded
     and flip when given them.
+
+    A z of fewer than _MASKED_MAX entries, as das_solve's short rows, a
+    one-trial cell's row and a small block give, negates with numpy's masked
+    loop, which costs least there; a larger block and a long row's parts
+    negate by the sign-bit XOR of _negate, in folded's buffer before the
+    angles fill it, as the masked loop costs them two to three times as
+    much (see _MASKED_MAX). Both give the same bits.
     """
     re = z.real  # a view: it sees the negation below
     flip = np.less(re, 0, out=flip)
-    np.negative(z, out=z, where=flip)
+    if z.size < _MASKED_MAX:
+        np.negative(z, out=z, where=flip)
+    else:
+        if folded is None:
+            folded = np.empty(flip.shape)
+        _negate(z, flip, folded.view(np.int64))
     folded = np.abs(re, out=folded)
     np.arctan2(z.imag, folded, out=folded)
     return folded, flip
@@ -161,12 +199,18 @@ def _fold_top(z: np.ndarray, folded: np.ndarray, flip: np.ndarray) -> None:
 
     They come from a zero real part over a positive imaginary one, or from a
     real part too small next to the imaginary one to show in the rounded
-    angle.
+    angle. pi is subtracted from every angle at the top and 0.0 from every
+    other, which is exact (HALF_PI - pi is -HALF_PI, and x - 0.0 is x), and
+    the top's entries are negated by _negate: no boolean indexing, which
+    with the masked negate cost the fold of one 2^19-entry part of
+    perfbench's tie-heavy row 10.3-12.0 ms against 6.8 ms (timeit, 2-vCPU
+    VM).
     """
     top = folded >= HALF_PI
-    folded[top] = -HALF_PI
+    step = np.multiply(top, np.pi)
+    folded -= step
     flip ^= top
-    z[top] = -z[top]
+    _negate(z, top, step.view(np.int64))
 
 
 def _best_step_pattern(phi_bar: np.ndarray) -> np.ndarray:
@@ -295,9 +339,12 @@ def _sortable(ints: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     below +0.0's 0; NaN has none. The map is its own inverse. Writes into
     out, which must not be ints, when given it.
     """
-    # an arithmetic shift: -1 where the sign bit is set, 0 elsewhere
-    out = np.right_shift(ints, 63, out=out)
-    out &= _MAGNITUDE
+    # the magnitude bits where the sign bit is set, 0 elsewhere, as a mask
+    # times them: the bits of an arithmetic shift by 63 and a mask, but
+    # numpy's int64 shift has no SIMD loop. _stable_order's pack of 2^20
+    # entries into a fresh buffer took 7.5-8.0 against 8.1-8.5 ms (medians
+    # of 41 interleaved rounds, 2-vCPU VM)
+    out = np.multiply(np.less(ints, 0), _MAGNITUDE, out=out)
     out ^= ints
     return out
 

@@ -19,6 +19,7 @@ from candidate_route import (
     select_best,
     sort_folded,
 )
+import dasris.das as das
 from dasris.baselines import continuous_upper_bound, exhaustive_search
 from dasris.das import (
     _PART_MIN,
@@ -28,10 +29,13 @@ from dasris.das import (
     das_solve_block,
 )
 from dasris.model import (
+    _POWER_OVERFLOW,
     ChannelParams,
     ChannelRealization,
     PhaseConfig,
     Solution,
+    _amp_power,
+    _amplitudes,
     _composite,
     composite_phi,
     draw_channels,
@@ -107,6 +111,96 @@ def test_fold_range_and_reconstruction(values):
     rebuilt = fold.magnitudes * np.exp(1j * (fold.folded_angles + np.pi * fold.flip_mask))
     nz = fold.magnitudes > 0
     assert np.allclose(rebuilt[nz], z[nz], rtol=1e-9, atol=1e-12)
+
+
+def masked_negate(z, where):
+    np.negative(z, out=z, where=where)
+
+
+def masked_fold(z, negate=masked_negate):
+    """_fold_half then _fold_top by numpy's masked np.negative: (z, folded, flip)."""
+    z = z.copy()
+    flip = z.real < 0
+    negate(z, flip)
+    folded = np.arctan2(z.imag, np.abs(z.real))
+    top = folded >= math.pi / 2
+    folded[top] = -math.pi / 2
+    flip ^= top
+    negate(z, top)
+    return z, folded, flip
+
+
+# entries whose signs and bits a fold must keep: signed zeros in either
+# part, zero entries, subnormals, exact +pi/2 angles (a zero real part over
+# a positive imaginary one) and angles that round to +-pi/2
+FOLD_EDGES = np.array([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                       complex(-1.0, 0.0), complex(-1.0, -0.0), complex(1.0, -0.0),
+                       complex(0.0, 2.0), complex(-0.0, 2.0), complex(0.0, -2.0),
+                       complex(-0.0, 5e-324), complex(5e-324, -5e-324),
+                       complex(-5e-324, 5e-324), complex(-5e-324, -0.0),
+                       complex(1e-300, 1.0), complex(-1e-300, 1.0), complex(-1e-17, -1.0),
+                       complex(-2.2e-16, 1.0), complex(-3.0, 1e-310)])
+
+
+def fold_rows(rng, shape):
+    """Rows of shape (..., L): Rayleigh entries with FOLD_EDGES scattered in,
+    and the same rows with every real part negative and with none negative."""
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    flat = z.reshape(-1)
+    at = rng.choice(flat.size, min(flat.size, 4 * len(FOLD_EDGES)), replace=False)
+    flat[at] = FOLD_EDGES[np.arange(len(at)) % len(FOLD_EDGES)]
+    yield "mixed", z
+    yield "all negative", -np.abs(z.real) - 0.5 + 1j * z.imag
+    yield "none negative", np.abs(z.real) + 1j * z.imag
+
+
+def assert_fold_bits(got, expected, case):
+    for name, have, want in zip(("z", "folded", "flip"), got, expected):
+        assert have.tobytes() == want.tobytes(), (case, name)
+
+
+# single rows on both sides of the masked loop's crossover, and blocks of
+# either size: every bit of z, folded and flip is the masked fold's
+@pytest.mark.parametrize("shape", [(1,), (9,), (das._MASKED_MAX - 1,), (das._MASKED_MAX,),
+                                   (3000,), (2, 17), (30, 33), (100, 65), (64, 257)])
+def test_fold_bits_are_the_masked_negates(shape):
+    rng = np.random.default_rng(shape[-1])
+    for case, row in fold_rows(rng, shape):
+        expected = masked_fold(row)
+        z = row.copy()
+        folded, flip = _fold_half(z)
+        _fold_top(z, folded, flip)
+        assert_fold_bits((z, folded, flip), expected, case)
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+def test_fold_bits_of_long_route_parts_are_the_masked_negates(parts):
+    # as _solve_long folds: each part of the row into its slice of shared
+    # buffers, the part's +pi/2 angles folded down within the part
+    rng = np.random.default_rng(parts)
+    length = 3 * das._MASKED_MAX + 7
+    cuts = [length * p // parts for p in range(parts + 1)]
+    for case, row in fold_rows(rng, (length,)):
+        expected = masked_fold(row)
+        z = row.copy()
+        folded = np.empty(length)
+        flip = np.empty(length, dtype=bool)
+        for start, stop in itertools.pairwise(cuts):
+            at = slice(start, stop)
+            _fold_half(z[at], folded[at], flip[at])
+            _fold_top(z[at], folded[at], flip[at])
+        assert_fold_bits((z, folded, flip), expected, case)
+
+
+def test_fold_bits_catch_a_lost_sign():
+    # a negate by 0 - z turns -0.0 into +0.0 where np.negative gives -0.0,
+    # and the comparison above must tell the two folds apart
+    def subtract(z, where):
+        np.subtract(0.0, z, out=z, where=where)
+
+    for case, row in fold_rows(np.random.default_rng(3), (das._MASKED_MAX,)):
+        with pytest.raises(AssertionError):
+            assert_fold_bits(masked_fold(row, subtract), masked_fold(row), case)
 
 
 def test_sort_folded_orders_and_inverts():
@@ -551,6 +645,37 @@ def test_das_solve_block_rejects_an_overflowing_row():
         (g, h_r, h_d)[block][1, ...] = value
         with pytest.raises(ValueError, match="overflow.*NaN or inf"):
             das_solve_block(g, h_r, h_d, 1.0)
+
+
+def test_block_powers_are_each_rows_amp_power_bit_for_bit():
+    # one float64 array for a block's powers: the bits of _amp_power, in
+    # Python floats, on each row's amplitude, at any tx_power and over rows
+    # scaled from powers that underflow to zero or a subnormal to near overflow
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        rows, n = int(rng.integers(1, 101)), int(rng.integers(1, 301))
+        tx_power = float(rng.choice([0.37, 3.0, 1e-5, 2.0 ** 0.5]))
+        g, h_r, h_d = draw_channels(n, rng.integers(0, 2**32, rows).tolist(), ChannelParams())
+        scale = 10.0 ** rng.integers(-165, 150, rows)
+        g *= scale[:, None]
+        h_d *= scale
+        w, powers = das_solve_block(g, h_r, h_d, tx_power)
+        amps = _amplitudes(h_r, w * g, h_d).tolist()
+        expected = [_amp_power(amp, tx_power) for amp in amps]
+        assert all(type(power) is float for power in powers)
+        assert np.array(powers).tobytes() == np.array(expected).tobytes(), (rows, n, tx_power)
+
+
+def test_block_powers_raise_for_the_last_row_alone_without_a_warning():
+    g, h_r, h_d = draw_channels(40, list(range(50)), ChannelParams())
+    h_d[-1] = 1e160  # only the last row's power overflows a float
+    assert all(math.isfinite(power) for power in das_solve_block(g[:-1], h_r[:-1], h_d[:-1], 2.0)[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as raised:
+            das_solve_block(g, h_r, h_d, 2.0)
+    # the message _amp_power gives, with the row's power, inf
+    assert str(raised.value) == _POWER_OVERFLOW.format(math.inf)
 
 
 def test_das_solve_block_rejects_blocks_whose_row_counts_differ():
