@@ -44,8 +44,11 @@ def exhaustive_search(ch: ChannelRealization) -> Solution:
     row-major index of each amplitude is its counter. The grid is built and
     scanned in chunks of rows, in counter order; a chunk's first maximum
     replaces the best so far only when strictly larger, so the lowest counter
-    wins. The homogenized coordinate is pinned to +1 throughout. Refuses to
-    run for N above EXHAUSTIVE_LIMIT.
+    wins. Without a direct link (a zero last composite entry) a sign vector
+    and its negation have the same power bits, so only the 2^(N-1) counters
+    with bit N-1 clear are scored, each standing for itself and its negation;
+    evaluations is 2^N either way. The homogenized coordinate is pinned to +1
+    throughout. Refuses to run for N above EXHAUSTIVE_LIMIT.
     """
     n = ch.n
     if n > EXHAUSTIVE_LIMIT:
@@ -56,16 +59,21 @@ def exhaustive_search(ch: ChannelRealization) -> Solution:
     half = n // 2
     low = _signed_sums(phi_bar[:half], phi_bar[-1])
     high = _signed_sums(phi_bar[half:-1], 0.0)
+    # with a zero base, IEEE sums are sign-symmetric: a counter and its
+    # complement get amplitudes that are exact negations (but for the sign of
+    # a zero), so the same power bits; the lower of the two has bit N-1 clear,
+    # and those counters are the first half of the rows
+    end = high.size // 2 if phi_bar[-1] == 0 else high.size
     low_re, low_im = low.real.copy(), low.imag.copy()
-    high_re, high_im = high.real[:, None], high.imag[:, None]
+    high_re, high_im = high.real[:end, None], high.imag[:end, None]
     rows = max(1, _CHUNK_BYTES // (8 * low.size))
     # real and imaginary chunks squared in place: no complex grid
-    powers = np.empty((min(rows, high.size), low.size))
+    powers = np.empty((min(rows, end), low.size))
     imag = np.empty_like(powers)
     best_index, best_power = 0, -1.0
-    for start in range(0, high.size, rows):
-        p = powers[: high.size - start]
-        q = imag[: high.size - start]
+    for start in range(0, end, rows):
+        p = powers[: end - start]
+        q = imag[: end - start]
         np.add(high_re[start:start + rows], low_re, out=p)
         np.add(high_im[start:start + rows], low_im, out=q)
         p *= p
@@ -84,8 +92,8 @@ def greedy_bitflip(ch: ChannelRealization, start: PhaseConfig, max_sweeps: int =
     Sweeps the elements in order, flipping any single entry whose flip
     strictly increases the received power; stops after a full sweep with no
     accepted flip or after max_sweeps. Each flip probe updates the received
-    amplitude in O(1). Raises ValueError unless max_sweeps is an integer
-    >= 0.
+    amplitude in O(1), on Python scalars. Raises ValueError unless
+    max_sweeps is an integer >= 0.
     """
     try:  # operator.index takes ints and numpy integers, not 2.5 or 2.0
         max_sweeps = operator.index(max_sweeps)
@@ -96,9 +104,10 @@ def greedy_bitflip(ch: ChannelRealization, start: PhaseConfig, max_sweeps: int =
     if start.n != ch.n:
         raise ValueError(f"start has {start.n} elements but channel has {ch.n}")
     phi_bar = composite_phi(ch)
-    phi = phi_bar[:-1]
-    w = start.w.copy()
-    amp = complex(np.dot(w, phi) + phi_bar[-1])
+    amp = complex(np.dot(start.w, phi_bar[:-1]) + phi_bar[-1])
+    # Python scalars: a probe on numpy scalars costs about 1 us more
+    phi = phi_bar[:-1].tolist()
+    w = start.w.tolist()
     evaluations = 0
     for _ in range(max_sweeps):
         improved = False
@@ -111,7 +120,7 @@ def greedy_bitflip(ch: ChannelRealization, start: PhaseConfig, max_sweeps: int =
                 improved = True
         if not improved:
             break
-    return _solution(ch, w, evaluations)
+    return _solution(ch, np.array(w, dtype=np.int64), evaluations)
 
 
 def random_best_of_k(ch: ChannelRealization, k: int, seed: int) -> Solution:

@@ -19,6 +19,7 @@ from dasris.model import (
     ChannelRealization,
     PhaseConfig,
     Solution,
+    composite_phi,
     generate_channel,
     received_power,
 )
@@ -108,6 +109,106 @@ def test_exhaustive_ties_across_grid_chunks_keep_the_lowest_counter(n):
             assert res.evaluations == 1 << n
 
 
+GAUSSIAN_GRID = np.array([0, 1, -1, 1j, -1j, 1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
+
+
+def first_maximiser_in_counter_order(ch):
+    """The sign vector a plain loop over the counters keeps with a strict >.
+
+    The amplitudes are summed from composite_phi's output, the direct-link
+    entry first and then the elements in order; argmax returns the first
+    maximum, as the loop would.
+    """
+    phi_bar = composite_phi(ch)
+    n = ch.n
+    counters = np.arange(1 << n)
+    amps = np.full(1 << n, phi_bar[-1])
+    for k in range(n):
+        amps += (1 - 2 * ((counters >> k) & 1)) * phi_bar[k]
+    best = int(np.argmax(amps.real**2 + amps.imag**2))
+    return 1 - 2 * ((best >> np.arange(n)) & 1)
+
+
+def scanned_grid_rows(ch, monkeypatch):
+    """exhaustive_search's result and the grid rows it scored, seen through its np.add calls."""
+    rows = []
+
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def add(*args, out):
+            rows.append(out.shape[0])
+            return np.add(*args, out=out)
+
+    with monkeypatch.context() as m:
+        m.setattr(baselines, "np", Spy())
+        res = exhaustive_search(ch)
+    return res, sum(rows) // 2  # a real and an imaginary add per chunk
+
+
+def assert_is_the_counter_loops_answer(ch, res):
+    w = first_maximiser_in_counter_order(ch)
+    assert res.config.w.tobytes() == w.tobytes()
+    assert res.power.hex() == received_power(ch, PhaseConfig(w)).hex()
+    assert res.evaluations == 1 << ch.n
+
+
+@pytest.mark.parametrize("h_d", [0.0, -0.0, complex(-0.0, -0.0), 5e-324, -5e-324j])
+def test_exhaustive_scans_half_the_grid_when_the_composites_direct_link_is_zero(h_d, monkeypatch):
+    # 5e-324, the smallest subnormal, is flushed to 0 by the rescale when g is
+    # near 1e150 (powers near 1e300); the search decides on composite_phi's
+    # entry, not on ch.h_d
+    rng = np.random.default_rng(2601)
+    scale = 2.0**500 if h_d != 0 else 1.0
+    for n in (1, 2, 3, 5, 8, 11):
+        for _ in range(20):
+            g = GAUSSIAN_GRID[rng.integers(0, len(GAUSSIAN_GRID), size=n)] * scale
+            g[0] = GAUSSIAN_GRID[rng.integers(1, len(GAUSSIAN_GRID))] * scale  # sets the rescale
+            ch = make_channel(g, np.ones(n), h_d)
+            assert composite_phi(ch)[-1] == 0
+            res, rows = scanned_grid_rows(ch, monkeypatch)
+            assert rows == 1 << (n - n // 2 - 1)
+            assert_is_the_counter_loops_answer(ch, res)
+
+
+def test_exhaustive_takes_the_full_scan_for_a_tiny_direct_link_that_survives(monkeypatch):
+    # h_d = 2^-30 survives the rescale and every sum stays exact; it breaks
+    # the tie between a sign vector and its negation towards a counter with
+    # bit N-1 set, which a half scan would never see
+    rng = np.random.default_rng(2602)
+    top_bit_set = 0
+    for n in (1, 2, 3, 6, 9, 12):
+        for _ in range(20):
+            g = GAUSSIAN_GRID[rng.integers(0, len(GAUSSIAN_GRID), size=n)]
+            g[-1] = -1  # the last element must not be zero to decide the tie
+            for h_d in (2.0**-30, -(2.0**-30) * 1j):
+                ch = make_channel(g, np.ones(n), h_d)
+                assert composite_phi(ch)[-1] != 0
+                res, rows = scanned_grid_rows(ch, monkeypatch)
+                assert rows == 1 << (n - n // 2)
+                assert_is_the_counter_loops_answer(ch, res)
+                top_bit_set += res.config.w[-1] == -1
+    assert top_bit_set > 0
+
+
+@pytest.mark.parametrize("n", [19, 20])
+def test_exhaustive_half_scan_ties_across_grid_chunks_keep_the_lowest_counter(n, monkeypatch):
+    # Gaussian integers without a direct link: every power is an exact integer
+    # and ties are many, across the chunks of the scanned half of the grid
+    rows_per_chunk = baselines._CHUNK_BYTES // (8 << (n // 2))
+    assert (1 << (n - n // 2 - 1)) > 4 * rows_per_chunk  # several chunks
+    rng = np.random.default_rng(2600 + n)
+    for h_d in (0, -0.0):
+        for _ in range(2):
+            g = GAUSSIAN_GRID[rng.integers(0, len(GAUSSIAN_GRID), size=n)]
+            ch = make_channel(g, np.ones(n), h_d)
+            res, rows = scanned_grid_rows(ch, monkeypatch)
+            assert rows == 1 << (n - n // 2 - 1)
+            assert_is_the_counter_loops_answer(ch, res)
+
+
 def test_exhaustive_refuses_above_limit():
     ch = generate_channel(EXHAUSTIVE_LIMIT + 1, 0)
     with pytest.raises(ExhaustiveLimitError) as err:
@@ -174,6 +275,55 @@ def test_greedy_reaches_optimum_on_tiny_instances():
     start = PhaseConfig(np.array([1, 1]))
     res = greedy_bitflip(ch, start)
     assert math.isclose(res.power, 4.0, rel_tol=1e-12)
+
+
+def greedy_on_numpy_scalars(ch, start, max_sweeps, ties):
+    """greedy_bitflip's probe loop on numpy scalars, as it was first written.
+
+    Appends to ties each probe whose power equals the current one exactly.
+    """
+    phi_bar = composite_phi(ch)
+    phi = phi_bar[:-1]
+    w = start.w.copy()
+    amp = complex(np.dot(w, phi) + phi_bar[-1])
+    evaluations = 0
+    for _ in range(max_sweeps):
+        improved = False
+        for i in range(ch.n):
+            trial = amp - 2.0 * w[i] * phi[i]
+            evaluations += 1
+            if trial.real**2 + trial.imag**2 == amp.real**2 + amp.imag**2:
+                ties.append(i)
+            if trial.real**2 + trial.imag**2 > amp.real**2 + amp.imag**2:
+                w[i] = -w[i]
+                amp = trial
+                improved = True
+        if not improved:
+            break
+    return w, evaluations
+
+
+def test_greedy_matches_the_numpy_scalar_loop_bit_for_bit():
+    rng = np.random.default_rng(2603)
+    ties = []
+    for case in range(2400):
+        n = int(rng.integers(1, 21))
+        if case % 4 == 3:
+            # Gaussian integers: every power is exact, and a flip can tie
+            g = GAUSSIAN_GRID[rng.integers(0, len(GAUSSIAN_GRID), size=n)]
+            ch = make_channel(g, np.ones(n), GAUSSIAN_GRID[rng.integers(0, len(GAUSSIAN_GRID))])
+        else:
+            ch = generate_channel(n, int(rng.integers(0, 2**32)),
+                                  ChannelParams(los=bool(case % 2)))
+        start = PhaseConfig(rng.integers(0, 2, size=n) * 2 - 1)
+        max_sweeps = (1, 2, 100)[case % 3]
+        res = greedy_bitflip(ch, start, max_sweeps)
+        w, evaluations = greedy_on_numpy_scalars(ch, start, max_sweeps, ties)
+        assert res.config.w.dtype == np.int64
+        assert res.config.w.tobytes() == w.tobytes()
+        assert res.power.hex() == received_power(ch, PhaseConfig(w)).hex()
+        assert res.evaluations == evaluations
+    assert len(ties) > 100  # the strict > was tested on exact ties
 
 
 def test_random_best_of_k_deterministic():
