@@ -4,9 +4,10 @@ The received power is tx_power * |w_bar^T phi_bar|^2, where phi_bar =
 (conj(h_r) * g, conj(h_d)) is the homogenized composite vector and w_bar =
 (w, 1). The objective ignores a global sign, so the sweep returns w as the
 entries that share the direct-link entry's sign. model.composite_phi returns
-phi_bar times an exact power of two, which moves no angle and no comparison
-between sign vectors, so the sweep below reads its output as it comes. Writing
-phi_bar_n = |phi_bar_n| e^{j theta_n},
+phi_bar times a power of two, which moves no angle of an entry it leaves
+normal; an entry it makes subnormal is rounded, and its angle can move (see
+composite_phi). The optimum is exact over composite_phi's output, which the
+sweep below reads as it comes. Writing phi_bar_n = |phi_bar_n| e^{j theta_n},
 
     |w_bar^T phi_bar| = max over psi of sum_n w_bar_n |phi_bar_n| cos(psi - theta_n)
 
@@ -18,13 +19,18 @@ psi therefore produces at most N+1 distinct patterns, one per prefix length,
 and scoring them all yields the global optimum. Sorting dominates the cost,
 so the whole solve is O(N log N).
 
-das_solve scores the patterns with one prefix sum, and only where the
-sorted angle changes and at the last position. Entries with equal folded
-angles point the same way, so across a run of them the prefix sum moves
-along a straight segment and the convex score |2 * prefix - total| peaks
-at one of the segment's ends. A split inside a run is never better than a
-run end, and the run ends are exactly the patterns the sweep over psi
-produces. The prefix sum at a run end adds up the same entries whatever
+das_solve scores every split with one prefix sum and takes the first best
+of those where the sorted angle changes or at the last position. Entries
+with equal folded angles point the same way, so across a run of them the
+prefix sum moves along a straight segment, and the convex score
+|2 * prefix - total| peaks at one of the segment's ends. A split inside a
+run is never better than a run end in exact arithmetic, though its float
+score can be, and the run ends are exactly the patterns the sweep over psi
+produces. So one row takes the first maximum of all its splits, and masks
+the splits inside runs and takes the maximum again only when that one lies
+inside a run: a first maximum at a run end is the masked maximum too, as no
+earlier split of either kind reaches its score. A block and a long row mask
+every run first. The prefix sum at a run end adds up the same entries whatever
 the order inside the run, so the run ends and their exact scores do not
 depend on that order; their float scores can, by the rounding of the sum.
 The short route, _best_step_pattern, argsorts with numpy's default sort,
@@ -213,6 +219,11 @@ def _fold_top(z: np.ndarray, folded: np.ndarray, flip: np.ndarray) -> None:
     _negate(z, top, step.view(np.int64))
 
 
+# a short row's configuration by its direct-link entry's sign `one`: (one,
+# -one), looked up by each entry's minus flag
+_SIGNS = {one: np.array([one, -one], dtype=np.int64) for one in (1, -1)}
+
+
 def _best_step_pattern(phi_bar: np.ndarray) -> np.ndarray:
     """Optimal configuration for each phi_bar along the last axis.
 
@@ -221,11 +232,15 @@ def _best_step_pattern(phi_bar: np.ndarray) -> np.ndarray:
     own by the same sort and scan, and the result is (N,) or (T, N).
     Candidate k's inner product with phi_bar is 2 * prefix_k - total, where
     prefix_k sums the first k+1 flip-corrected entries in sorted order, so
-    one cumulative sum scores every candidate. Only the ends of runs of
-    equal folded angles are scored (see the module docstring), which makes
-    the winner independent of how the sort orders a run; the lowest such k
-    wins ties. Returns the configuration w itself, int64 +-1: +1 where the
-    winning sign vector agrees with its last (direct-link) entry.
+    one cumulative sum scores every candidate. The winner is the
+    best-scoring end of a run of equal folded angles (see the module
+    docstring), which makes it independent of how the sort orders a run;
+    the lowest such k wins ties. A row takes the first maximum of all its
+    N+1 scores and masks the splits inside runs, for a second argmax, only
+    when that maximum lies inside one; a block masks them before its argmax.
+    Returns the configuration w itself, int64 +-1: +1 where the winning sign
+    vector agrees with its last (direct-link) entry. A row of fewer than
+    _MASKED_MAX entries looks it up from _SIGNS in one take.
 
     Every pass runs once over the whole row or block, on the calling
     thread: this is the short route. A long row goes through _solve_long.
@@ -265,10 +280,21 @@ def _best_step_pattern(phi_bar: np.ndarray) -> np.ndarray:
     # The winner k is a run end, so the winning prefix holds exactly the
     # entries whose key is at most keys[k]: +1 there, unless the fold flipped it
     if row:
-        # plain slices, each about 0.1 us cheaper than one with an Ellipsis,
-        # and a Python float, which numpy compares faster than a (1,) array
-        np.copyto(scores[:-1], -1.0, where=keys[1:] == keys[:-1])
-        bound = float(keys[scores.argmax()])
+        # the first maximum of all splits, and the runs masked only when it
+        # lies inside one: a first maximum at a run end is the masked
+        # argmax's too, as no earlier split of either kind reaches its score.
+        # The mask runs on 20 to 334 of 3,000 tie-heavy rows (zero entries,
+        # pi/8-grid phases, Gaussian integers; N = 1 to 300), and skipping it
+        # elsewhere read das_solve at 0.93-0.95 of the eager mask at N = 8,
+        # 64 and 256 (median of 15 A/B rounds, 13-15 lower, 2-vCPU VM)
+        k = int(scores.argmax())
+        # Python floats, which numpy compares faster than a (1,) array, and
+        # item(), about 35 ns cheaper than float() of an index
+        bound = keys.item(k)
+        if k < keys.size - 1 and keys.item(k + 1) == bound:
+            # plain slices, each about 0.1 us cheaper than one with an Ellipsis
+            np.copyto(scores[:-1], -1.0, where=keys[1:] == keys[:-1])
+            bound = keys.item(scores.argmax())
     else:
         np.copyto(scores[:, :-1], -1.0, where=keys[:, 1:] == keys[:, :-1])
         bound = keys.take(starts + scores.argmax(-1))[:, None]
@@ -280,6 +306,13 @@ def _best_step_pattern(phi_bar: np.ndarray) -> np.ndarray:
     # reads that sign as a Python bool, for w = 2 * minus - 1 or 1 - 2 * minus
     if row:
         one = -1 if minus[-1] else 1
+        if minus.size < _MASKED_MAX:
+            # one take from the table (one, -one) by minus's bytes: 0.97
+            # against 1.74 us for the multiply and add at 9 entries, 2.17
+            # against 2.76 at 1,025, but take widens its index to intp, 8.38
+            # against 7.35 us at 4,097 and 324 against 54 at 65,537 (timeit,
+            # 2-vCPU VM), so a longer row keeps the multiply and add
+            return _SIGNS[one].take(minus[:-1].view(np.uint8))
         w = np.multiply(minus[:-1], -2 * one, dtype=np.int64)
     else:
         one = -1
@@ -522,7 +555,7 @@ def das_solve(ch: ChannelRealization) -> Solution:
     returned configuration (received_power's formula and bits, without its
     shape check), and a power that overflows a float raises ValueError.
     evaluations is N + 1: the sweep scores every prefix, on either route,
-    before it masks the splits inside runs.
+    whether or not it then masks the splits inside runs.
     """
     g = ch.g
     length = len(g) + 1

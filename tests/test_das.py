@@ -6,6 +6,8 @@ import math
 import sys
 import threading
 import warnings
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -570,6 +572,97 @@ def test_das_solve_ignores_element_order_on_ties():
                     assert np.array_equal(other.config.w, sol.config.w[perm])
                     checked += 1
     assert checked >= 300
+
+
+def eager_mask_row(phi_bar):
+    """One row's configuration with every split inside a run masked before the
+    argmax, and w built by a multiply and an add, as the row path built it
+    before it masked lazily; and whether the unmasked first maximum lay inside
+    a run, and whether that run's end then differs from the masked winner."""
+    phi_bar = phi_bar.copy()
+    folded, flip = _fold_half(phi_bar)
+    _fold_top(phi_bar, folded, flip)  # exact, and a no-op on a row without +pi/2
+    order = folded.argsort()
+    keys = folded.take(order)
+    prefix = phi_bar.take(order)
+    np.add.accumulate(prefix, out=prefix)
+    twice = np.multiply(prefix, 2.0)
+    twice -= prefix[-1]
+    scores = np.abs(twice)
+    inside = keys[1:] == keys[:-1]
+    first = int(scores.argmax())
+    in_run = first < len(keys) - 1 and bool(inside[first])
+    np.copyto(scores[:-1], -1.0, where=inside)
+    winner = int(scores.argmax())
+    minus = np.equal(folded <= keys[winner], flip)
+    one = -1 if minus[-1] else 1
+    w = np.multiply(minus[:-1], -2 * one, dtype=np.int64)
+    w += one
+    return w, in_run, in_run and bool(keys[first] != keys[winner])
+
+
+_PI8_GRID = np.exp(1j * np.pi / 8 * np.arange(16))
+
+
+def run_heavy_rows(rng, n):
+    """(kind, g, h_d) rows whose folded angles repeat, with and without a direct
+    link: zero entries among Rayleigh ones and positive reals, all at angle 0;
+    magnitudes 0 to 2 on a pi/8 grid of phases; and Gaussian integers."""
+    for h_d in (0j, complex(*rng.integers(-2, 3, 2)) or 1j):
+        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        g[rng.random(n) < 0.4] = 0
+        g[rng.random(n) < 0.2] = rng.integers(1, 3)
+        yield "zeros", g, h_d
+        yield "pi/8 grid", rng.integers(0, 3, n) * _PI8_GRID[rng.integers(0, 16, n)], h_d
+        yield "Gaussian integers", rng.integers(-3, 4, n) + 1j * rng.integers(-3, 4, n), h_d
+
+
+def test_row_lazy_mask_and_sign_lookup_are_the_eager_mask_bit_for_bit():
+    # a row takes the first maximum of all splits and masks the runs only
+    # when it lies inside one, and a row of fewer than _MASKED_MAX entries
+    # looks its w up by the minus flags: both must give the eager mask's w,
+    # int64, on rows where the fallback fires and where it decides, at N = 1
+    # to 300 and at N + 1 on both sides of _MASKED_MAX
+    rng = np.random.default_rng(2727)
+    lengths = [*range(1, 301)] * 3 + [das._MASKED_MAX + d for d in (-2, -1, 0)] * 12
+    in_run = Counter()
+    decided = Counter()
+    for n in lengths:
+        for kind, g, h_d in run_heavy_rows(rng, n):
+            phi_bar = _composite(g, np.ones(n, dtype=complex), h_d)
+            expected, inside, decides = eager_mask_row(phi_bar)
+            w = das._best_step_pattern(phi_bar)
+            assert w.dtype == np.int64 and w.shape == (n,), (kind, n)
+            assert w.tobytes() == expected.tobytes(), (kind, n, h_d)
+            in_run[kind] += inside
+            decided[kind] += decides
+    # the fallback fires on every kind of row, and on some it picks a run
+    # end other than the end of the run that holds the first maximum
+    assert min(in_run.values()) >= 10, in_run
+    assert sum(decided.values()) >= 5, decided
+
+
+# ROADMAP item 3's counterexample: two run ends' float scores lie closer than
+# their rounding error, and the argmax picks the one whose exact power is lower
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the winner is a float argmax, "
+                   "not exact at near-ties")
+def test_das_solve_is_an_exact_optimum_at_a_near_tie():
+    g = np.array([0.25625347787877495 - 0.4293415366290946j,
+                  -1.7173661465163788 - 1.0250139115150991j,
+                  -0.25625347787877495 + 0.42934153662909463j])
+    ch = make_channel(g, np.ones(3), 0.0)
+    phi_bar = composite_phi(ch)
+
+    def exact_power(w):
+        w_bar = (*w, 1)
+        re = sum(Fraction(s) * Fraction(z.real) for s, z in zip(w_bar, phi_bar.tolist()))
+        im = sum(Fraction(s) * Fraction(z.imag) for s, z in zip(w_bar, phi_bar.tolist()))
+        return re * re + im * im
+
+    best = max(exact_power(w) for w in itertools.product((1, -1), repeat=ch.n))
+    sol = das_solve(ch)
+    assert exact_power(sol.config.w.tolist()) == best
+    assert sol.power == exhaustive_search(ch).power == 5.0
 
 
 def assert_block_rows_match_das_solve(g, h_r, h_d, tx_power=1.0):
