@@ -26,29 +26,28 @@ prefix sum moves along a straight segment, and the convex score
 |2 * prefix - total| peaks at one of the segment's ends. A split inside a
 run is never better than a run end in exact arithmetic, though its float
 score can be, and the run ends are exactly the patterns the sweep over psi
-produces. So one row takes the first maximum of all its splits, and masks
-the splits inside runs and takes the maximum again only when that one lies
-inside a run: a first maximum at a run end is the masked maximum too, as no
-earlier split of either kind reaches its score. A block and a long row mask
-every run first. The prefix sum at a run end adds up the same entries whatever
-the order inside the run, so the run ends and their exact scores do not
-depend on that order; their float scores can, by the rounding of the sum.
+produces. So a row, short or long, takes the first maximum of all its
+splits, and masks the splits inside runs and takes the maximum again only
+when that one lies inside a run (_winner); a block masks every run first.
+The prefix sum at a run end adds up the same entries whatever the order
+inside the run, so the run ends and their exact scores do not depend on
+that order; their float scores can, by the rounding of the sum.
 The short route, _best_step_pattern, argsorts with numpy's default sort,
 which orders a run as the row's length and layout lead it to; the long
 route orders every run by index.
 
-A long row, one of N+1 >= 2 * _PART_MIN entries (_long, the one test of
-that length), takes a route of its own, _solve_long. It cuts the row into
-parts, one per usable CPU up to (N+1) // _PART_MIN, and runs each pass on
-threads started and finished within the call; with one part, as on one
-CPU, it starts no thread. What it does not share with the short route is
-only its parts and its sort, _stable_order, a sort of packed int64 keys
+_solve_row sends a long row, one of N+1 >= 2 * _PART_MIN entries (_long,
+the one test of that length), on a route of its own, _solve_long. It cuts
+the row into parts, one per usable CPU up to (N+1) // _PART_MIN, and runs
+each pass on threads started and finished within the call; with one part,
+as on one CPU, it starts no thread. What it does not share with the short
+route is only its parts and its sort, _stable_order, a sort of packed keys
 whose order is np.argsort(angles, kind="stable") on any part count. The
-prefix sum and the winner's argmax run on the calling thread over the whole
-row, and the power's dot product, model._power, adds fixed chunks in a
-fixed order. So a long row's configuration and power are the same bits on
-any number of cores and of BLAS threads, and the short route's bits
-wherever the angles are distinct or the sums exact.
+prefix sum and _winner run on the calling thread over the whole row, and
+the power's dot product, model._power, adds fixed chunks in a fixed order.
+So a long row's configuration and power are the same bits on any number
+of cores and of BLAS threads, and the short route's bits wherever the
+angles are distinct or the sums exact.
 """
 
 from __future__ import annotations
@@ -68,7 +67,6 @@ from .model import (
     _composite,
     _power,
     _product,
-    composite_phi,
 )
 
 HALF_PI = np.pi / 2.0
@@ -188,15 +186,16 @@ def _fold_half(z: np.ndarray, folded: np.ndarray | None = None,
     much (see _MASKED_MAX). Both give the same bits.
     """
     re = z.real  # a view: it sees the negation below
-    flip = np.less(re, 0, out=flip)
+    # out by position here and in _best_step_pattern: out= costs a ufunc 20-30 ns (timeit)
+    flip = np.less(re, 0, flip)
     if z.size < _MASKED_MAX:
         np.negative(z, out=z, where=flip)
     else:
         if folded is None:
             folded = np.empty(flip.shape)
         _negate(z, flip, folded.view(np.int64))
-    folded = np.abs(re, out=folded)
-    np.arctan2(z.imag, folded, out=folded)
+    folded = np.abs(re, folded)
+    np.arctan2(z.imag, folded, folded)
     return folded, flip
 
 
@@ -219,6 +218,27 @@ def _fold_top(z: np.ndarray, folded: np.ndarray, flip: np.ndarray) -> None:
     _negate(z, top, step.view(np.int64))
 
 
+def _winner(scores: np.ndarray, keys: np.ndarray) -> float:
+    """The sorted key at a row's winning run end: the bound of its winning prefix.
+
+    The first maximum of scores, or, when a key equal to its own follows
+    it, the maximum again over scores with the splits inside runs masked.
+    """
+    # the mask runs on 20 to 334 of 3,000 tie-heavy rows (zero entries,
+    # pi/8-grid phases, Gaussian integers; N = 1 to 300), and skipping it
+    # elsewhere read das_solve at 0.93-0.95 of the eager mask at N = 8, 64
+    # and 256 (median of 15 A/B rounds, 13-15 lower, 2-vCPU VM)
+    k = int(scores.argmax())
+    # Python floats, which numpy compares faster than a (1,) array, and
+    # item(), about 35 ns cheaper than float() of an index
+    bound = keys.item(k)
+    if k < keys.size - 1 and keys.item(k + 1) == bound:
+        # plain slices, each about 0.1 us cheaper than one with an Ellipsis
+        np.copyto(scores[:-1], -1.0, where=keys[1:] == keys[:-1])
+        bound = keys.item(scores.argmax())
+    return bound
+
+
 # a short row's configuration by its direct-link entry's sign `one`: (one,
 # -one), looked up by each entry's minus flag
 _SIGNS = {one: np.array([one, -one], dtype=np.int64) for one in (1, -1)}
@@ -235,9 +255,8 @@ def _best_step_pattern(phi_bar: np.ndarray) -> np.ndarray:
     one cumulative sum scores every candidate. The winner is the
     best-scoring end of a run of equal folded angles (see the module
     docstring), which makes it independent of how the sort orders a run;
-    the lowest such k wins ties. A row takes the first maximum of all its
-    N+1 scores and masks the splits inside runs, for a second argmax, only
-    when that maximum lies inside one; a block masks them before its argmax.
+    the lowest such k wins ties. A row picks it by _winner; a block masks
+    the splits inside runs before its argmax.
     Returns the configuration w itself, int64 +-1: +1 where the winning sign
     vector agrees with its last (direct-link) entry. A row of fewer than
     _MASKED_MAX entries looks it up from _SIGNS in one take.
@@ -268,40 +287,26 @@ def _best_step_pattern(phi_bar: np.ndarray) -> np.ndarray:
     prefix = phi_bar.take(order)
     keys = folded.take(order)
     # add.accumulate, not cumsum: the same sums, about half the per-call cost
-    np.add.accumulate(prefix, axis=-1, out=prefix)
+    np.add.accumulate(prefix, -1, None, prefix)
     # phi_bar and the order are done with: their buffers take 2 * prefix -
     # total and the scores, so no copy of the total is made
-    twice = np.multiply(prefix, 2.0, out=phi_bar)
+    twice = np.multiply(prefix, 2.0, phi_bar)
     # one row subtracts a scalar, which numpy does faster than a (1,) slice
     twice -= prefix[-1] if row else prefix[:, -1:]
-    scores = np.abs(twice, out=order.view(np.float64))
+    scores = np.abs(twice, order.view(np.float64))
     del order, prefix, twice
     # a split followed by an equal key lies inside a run: never the winner.
     # The winner k is a run end, so the winning prefix holds exactly the
     # entries whose key is at most keys[k]: +1 there, unless the fold flipped it
     if row:
-        # the first maximum of all splits, and the runs masked only when it
-        # lies inside one: a first maximum at a run end is the masked
-        # argmax's too, as no earlier split of either kind reaches its score.
-        # The mask runs on 20 to 334 of 3,000 tie-heavy rows (zero entries,
-        # pi/8-grid phases, Gaussian integers; N = 1 to 300), and skipping it
-        # elsewhere read das_solve at 0.93-0.95 of the eager mask at N = 8,
-        # 64 and 256 (median of 15 A/B rounds, 13-15 lower, 2-vCPU VM)
-        k = int(scores.argmax())
-        # Python floats, which numpy compares faster than a (1,) array, and
-        # item(), about 35 ns cheaper than float() of an index
-        bound = keys.item(k)
-        if k < keys.size - 1 and keys.item(k + 1) == bound:
-            # plain slices, each about 0.1 us cheaper than one with an Ellipsis
-            np.copyto(scores[:-1], -1.0, where=keys[1:] == keys[:-1])
-            bound = keys.item(scores.argmax())
+        bound = _winner(scores, keys)
     else:
         np.copyto(scores[:, :-1], -1.0, where=keys[:, 1:] == keys[:, :-1])
         bound = keys.take(starts + scores.argmax(-1))[:, None]
     del keys, scores
     # flip becomes the winning sign vector's -1 entries: in the prefix and
     # flipped by the fold, or neither
-    minus = np.equal(folded <= bound, flip, out=flip)
+    minus = np.equal(folded <= bound, flip, flip)
     # +1 where an entry's sign agrees with its direct-link entry's; one row
     # reads that sign as a Python bool, for w = 2 * minus - 1 or 1 - 2 * minus
     if row:
@@ -453,28 +458,26 @@ def _stable_order(folded: np.ndarray, cuts: list[int]) -> tuple[np.ndarray, np.n
 
 
 def _solve_long(g: np.ndarray, h_r: np.ndarray, h_d: complex, tx_power: float,
-                parts: int | None = None, w: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+                parts: int | None = None) -> tuple[np.ndarray, float]:
     """The optimal configuration w of one long channel, and its received power.
 
-    g and h_r are (N,) and h_d is a Python complex; w, an (N,) int64
-    buffer, takes the configuration when given. The row runs as parts
+    g and h_r are (N,) and h_d is a Python complex. The row runs as parts
     parts (default _part_count(N+1)), in seven rounds of _run_parts:
 
     1. the composite's product and each part's top (_long_composite);
     2. the rescale by the largest top's exponent, and the fold;
     3. and 4. the stable order and the sorted keys (_stable_order);
     5. the entries gathered in that order;
-    6. the scores, with the splits inside runs masked;
+    6. the scores;
     7. the configuration, and w * g written into the spent composite.
 
     Every round cuts the row by position, at the same places, except the
     sort, whose two sorts each take a thread. Between rounds the calling
     thread takes what needs the whole row: the largest top, the order's
-    fix-up, the prefix sum and the winner, the first of the scores' maxima
-    as on the short route. The scores' run-end mask compares a part's last
-    key with the next part's first. The order is the stable one, so ties
-    keep their index order and every part count adds the same sums. The
-    power is model._power's, of w * g.
+    fix-up, the prefix sum and the winner, which _winner picks as on the
+    short route. The order is the stable one, so ties keep their index
+    order and every part count adds the same sums. The power is
+    model._power's, of w * g.
     """
     length = len(g) + 1
     if parts is None:
@@ -518,22 +521,17 @@ def _solve_long(g: np.ndarray, h_r: np.ndarray, h_d: complex, tx_power: float,
         twice = np.multiply(prefix[start:stop], 2.0, out=phi_bar[start:stop])
         twice -= total
         np.abs(twice, out=scores[start:stop])
-        # a split followed by an equal key, the next part's first one
-        # included, lies inside a run: never the winner
-        end = min(stop, length - 1)
-        np.copyto(scores[start:end], -1.0, where=keys[start + 1:end + 1] == keys[start:end])
 
     _run_parts(score, parts)
     # the winner k is a run end, so the winning prefix holds exactly the
     # entries whose key is at most keys[k]
-    bound = float(keys[scores.argmax()])
+    bound = _winner(scores, keys)
     del order, prefix, keys, scores
     # +1 where an entry's sign agrees with its direct-link entry's: the
     # winning sign vector's -1 entries are those in the prefix and flipped
     # by the fold, or neither
     one = -1 if (folded[-1] <= bound) == flip[-1] else 1
-    if w is None:
-        w = np.empty(length - 1, dtype=np.int64)
+    w = np.empty(length - 1, dtype=np.int64)
     wg = phi_bar[:-1]
 
     def configure(p):
@@ -547,6 +545,23 @@ def _solve_long(g: np.ndarray, h_r: np.ndarray, h_d: complex, tx_power: float,
     return w, _power(h_r, wg, h_d, tx_power)
 
 
+def _solve_row(g: np.ndarray, h_r: np.ndarray, h_d: complex,
+               tx_power: float) -> tuple[np.ndarray, float]:
+    """One channel's optimal configuration w and its received power: the row router.
+
+    A long row goes to _solve_long, any other to the short route. h_d is a
+    Python complex, as ChannelRealization holds it: a numpy scalar would
+    make the power a np.float64.
+    """
+    if _long(len(g) + 1):
+        return _solve_long(g, h_r, h_d, tx_power)
+    w = _best_step_pattern(_composite(g, h_r, h_d))
+    # a fresh product: w * g into the spent composite, as a long row takes
+    # it, gives the same bits but costs a short solve 0.3 to 0.5 us
+    # (das_solve 0.6% to 2.4% slower at N = 8 to 256, see CHANGES.md)
+    return w, _power(h_r, w * g, h_d, tx_power)
+
+
 def das_solve(ch: ChannelRealization) -> Solution:
     """Find the received-power-maximizing binary configuration.
 
@@ -557,17 +572,8 @@ def das_solve(ch: ChannelRealization) -> Solution:
     evaluations is N + 1: the sweep scores every prefix, on either route,
     whether or not it then masks the splits inside runs.
     """
-    g = ch.g
-    length = len(g) + 1
-    if _long(length):
-        w, power = _solve_long(g, ch.h_r, ch.h_d, ch.tx_power)
-    else:
-        w = _best_step_pattern(composite_phi(ch))
-        # a fresh product: w * g into the spent composite, as a long row
-        # takes it, gives the same bits but costs a short solve 0.3 to 0.5 us
-        # (das_solve 0.6% to 2.4% slower at N = 8 to 256, see CHANGES.md)
-        power = _power(ch.h_r, w * g, ch.h_d, ch.tx_power)
-    return Solution(PhaseConfig._trusted(w), power, length)
+    w, power = _solve_row(ch.g, ch.h_r, ch.h_d, ch.tx_power)
+    return Solution(PhaseConfig._trusted(w), power, len(ch.g) + 1)
 
 
 def das_solve_block(
@@ -579,28 +585,21 @@ def das_solve_block(
     them. One sweep over the (T, N+1) composite block solves every row, and
     one model._power call over the block, a single np.vecdot, gives the T
     powers; returns the (T, N) int64 configurations and the list of powers.
-    A block of one short row, as a cell of one trial gives, is solved by the
-    one-row calls das_solve makes, which cost about 40% less than the block
-    route at N = 16 to 20 (timeit, 2-vCPU VM). Long rows are solved one by
-    one through das_solve's long route, each into its row of the result;
-    an empty block gives a (0, N) block and no powers. Row t's configuration
-    and power are bit for bit those of das_solve on channel t alone, and a
-    row whose composite or power overflows a float, or holds a NaN or inf,
-    raises ValueError.
+    An empty block, a lone row and long rows go instead one by one through
+    das_solve's router, _solve_row, each w copied into its row of the
+    result: a lone short row, as a cell of one trial gives, costs about 40%
+    less there than on the block route at N = 16 to 20 (timeit, 2-vCPU VM).
+    Row t's configuration and power are bit for bit those of das_solve on
+    channel t alone, and a row whose composite or power overflows a float,
+    or holds a NaN or inf, raises ValueError.
     """
     # blocks whose row counts differ go on to the block route, which rejects them
-    same = len(g) == len(h_r) == len(h_d)
-    if same and len(g) == 1 and not _long(g.shape[-1] + 1):
-        # a Python complex, as ChannelRealization holds it: a numpy scalar
-        # would make the power a np.float64
-        g0, h_r0, h_d0 = g[0], h_r[0], complex(h_d[0])
-        w = _best_step_pattern(_composite(g0, h_r0, h_d0))
-        return w[None], [_power(h_r0, w * g0, h_d0, tx_power)]
-    if same and (len(g) == 0 or _long(g.shape[-1] + 1)):
+    if len(g) == len(h_r) == len(h_d) and (len(g) <= 1 or _long(g.shape[-1] + 1)):
         w = np.empty(g.shape, dtype=np.int64)
         powers = []
         for t in range(len(g)):
-            powers.append(_solve_long(g[t], h_r[t], complex(h_d[t]), tx_power, w=w[t])[1])
+            w[t], power = _solve_row(g[t], h_r[t], complex(h_d[t]), tx_power)
+            powers.append(power)
         return w, powers
     w = _best_step_pattern(_composite(g, h_r, h_d))
     return w, _power(h_r, w * g, h_d, tx_power)

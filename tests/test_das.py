@@ -574,15 +574,17 @@ def test_das_solve_ignores_element_order_on_ties():
     assert checked >= 300
 
 
-def eager_mask_row(phi_bar):
+def eager_mask_row(phi_bar, stable=False):
     """One row's configuration with every split inside a run masked before the
     argmax, and w built by a multiply and an add, as the row path built it
     before it masked lazily; and whether the unmasked first maximum lay inside
-    a run, and whether that run's end then differs from the masked winner."""
+    a run, and whether that run's end then differs from the masked winner.
+    Sorted by numpy's default argsort, as the short route sorts, or when
+    stable by the stable argsort of the angles + 0.0, as the long route does."""
     phi_bar = phi_bar.copy()
     folded, flip = _fold_half(phi_bar)
     _fold_top(phi_bar, folded, flip)  # exact, and a no-op on a row without +pi/2
-    order = folded.argsort()
+    order = (folded + 0.0).argsort(kind="stable") if stable else folded.argsort()
     keys = folded.take(order)
     prefix = phi_bar.take(order)
     np.add.accumulate(prefix, out=prefix)

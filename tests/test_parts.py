@@ -23,6 +23,7 @@ import dasris.das as das
 from dasris.baselines import exhaustive_search
 from dasris.das import (
     _fold_half,
+    _fold_top,
     _long,
     _long_composite,
     _part_count,
@@ -35,14 +36,18 @@ from dasris.das import (
 from dasris.harness import ExperimentPlan, run_plan
 from dasris.model import (
     ChannelParams,
+    PhaseConfig,
     composite_phi,
     draw_channels,
     generate_channel,
+    received_power,
 )
 from test_das import (
     TIE_DIRECT_LINKS,
     adversarial_channels,
+    eager_mask_row,
     make_channel,
+    run_heavy_rows,
     scaled_channel,
     tie_heavy_channel,
 )
@@ -219,17 +224,19 @@ def test_rows_past_the_longest_take_the_short_route():
 
 
 def test_a_split_block_is_solved_row_by_row(monkeypatch):
-    # a block of long rows: each row through das_solve's long route, into
-    # its row of the result
+    # a block of long rows, a lone long row and an empty block: each row
+    # through das_solve's long route, into its row of the result
     g, h_r, h_d = draw_channels(300, list(range(7)), ChannelParams())
     monkeypatch.setattr(das, "_PART_MIN", 64)
     for parts in PARTS:
         monkeypatch.setattr(das, "_part_count", lambda length: parts)
-        w, powers = das_solve_block(g, h_r, h_d, 2.0)
-        for t in range(len(g)):
-            sol = das_solve(make_channel(g[t], h_r[t], complex(h_d[t]), tx_power=2.0))
-            assert w[t].tobytes() == sol.config.w.tobytes()
-            assert repr(powers[t]) == repr(sol.power)
+        for rows in (7, 1, 0):
+            w, powers = das_solve_block(g[:rows], h_r[:rows], h_d[:rows], 2.0)
+            assert w.shape == (rows, 300) and w.dtype == np.int64 and len(powers) == rows
+            for t in range(rows):
+                sol = das_solve(make_channel(g[t], h_r[t], complex(h_d[t]), tx_power=2.0))
+                assert w[t].tobytes() == sol.config.w.tobytes()
+                assert repr(powers[t]) == repr(sol.power)
 
 
 def traced_peak(call):
@@ -449,6 +456,39 @@ def test_equal_best_scores_in_two_parts_go_to_the_lowest_index(parts, m):
     assert power == das_solve(ch).power == (6.0 * m) ** 2
 
 
+@pytest.mark.parametrize("parts", PARTS)
+def test_long_lazy_mask_is_the_eager_mask_bit_for_bit(monkeypatch, parts):
+    # the long route takes its winner by _winner, which masks the runs only
+    # when the first maximum lies inside one: its w must be the eager mask's,
+    # over the stable order, on rows where the fallback fires and where it
+    # decides, and on rows with a run across a part cut; and das_solve, with
+    # every row long, must route there
+    rng = np.random.default_rng(2828)
+    monkeypatch.setattr(das, "_PART_MIN", 1)
+    monkeypatch.setattr(das, "_part_count", lambda length: parts)
+    in_run = decided = straddles = 0
+    for n in [*range(1, 121), 511, 2500]:
+        for kind, g, h_d in run_heavy_rows(rng, n):
+            ch = make_channel(g, np.ones(n), h_d)
+            phi_bar = composite_phi(ch)
+            expected, inside, decides = eager_mask_row(phi_bar, stable=True)
+            w, power = solve_in_parts(ch, parts)
+            assert w.tobytes() == expected.tobytes(), (kind, n, h_d)
+            assert repr(power) == repr(received_power(ch, PhaseConfig(expected)))
+            sol = das_solve(ch)
+            assert (sol.config.w.tobytes(), repr(sol.power)) == (w.tobytes(), repr(power))
+            in_run += inside
+            decided += decides
+            # a run of equal sorted keys on both sides of a cut of the parts
+            folded, flip = _fold_half(phi_bar)
+            _fold_top(phi_bar, folded, flip)
+            keys = np.sort(folded)
+            cuts = [(n + 1) * p // parts for p in range(1, parts)]
+            straddles += any(keys[c - 1] == keys[c] for c in cuts if 0 < c <= n)
+    assert in_run >= 30 and decided >= 1, (in_run, decided)
+    assert straddles >= 30 or parts == 1, straddles
+
+
 def test_no_thread_outlives_a_split_solve(monkeypatch):
     monkeypatch.setattr(das, "_PART_MIN", 64)  # every solve below splits
     before = threading.active_count()
@@ -481,14 +521,14 @@ def hard_rows(n):
 
 def route_bits(ch):
     """The bytes of everything a solve of ch returns: alone, as a one-row block
-    and as a row of a two-row block."""
+    and as a row of a two-row block; and an empty block of its length."""
     g = np.vstack((ch.g, ch.g[::-1]))
     h_r = np.vstack((ch.h_r, ch.h_r[::-1]))
     h_d = np.array([ch.h_d, -ch.h_d])
     sol = das_solve(ch)
-    blocks = [das_solve_block(g[:rows], h_r[:rows], h_d[:rows], ch.tx_power) for rows in (1, 2)]
+    blocks = [das_solve_block(g[:rows], h_r[:rows], h_d[:rows], ch.tx_power) for rows in (0, 1, 2)]
     return (composite_phi(ch).tobytes(), sol.config.w.tobytes(), repr(sol.power),
-            *((w.tobytes(), repr(powers)) for w, powers in blocks))
+            *((w.shape, w.dtype, w.tobytes(), repr(powers)) for w, powers in blocks))
 
 
 @pytest.mark.parametrize("parts", [1, 2, 3, 4])
