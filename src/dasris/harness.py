@@ -11,12 +11,11 @@ calls. The other methods run, and are timed, trial by trial.
 Wall times cover solver calls only; channel generation, seeding and
 bookkeeping are excluded.
 
-A cell's trial seeds are derived in one pass too: _trial_seed_block runs
-numpy's SeedSequence mixing column by column over the cell's trials, bit for
-bit what SeedSequence((base_seed, n, trial)) gives each trial alone, and
-draw_channels seeds its rows the same way. Small cells, unusual seeds and
-trial entropies wider than SeedSequence's four-word pool go through numpy
-itself.
+A cell's trial seeds come from one model._seed_block call, bit for bit what
+SeedSequence((base_seed, n, trial)) gives each trial alone, and
+draw_channels seeds its rows through the same function. Its one rule
+decides whether numpy's SeedSequence mixing runs column by column over the
+cell or numpy builds each row itself.
 """
 
 from __future__ import annotations
@@ -32,17 +31,7 @@ import numpy as np
 
 from .baselines import EXHAUSTIVE_LIMIT, exhaustive_search, greedy_bitflip, random_best_of_k
 from .das import das_solve_block
-from .model import (
-    _BLOCK_ROWS,
-    _MASK32,
-    _POOL_SIZE,
-    ChannelParams,
-    ChannelRealization,
-    _fmt,
-    _seed_state,
-    draw_channels,
-    snr_db,
-)
+from .model import ChannelParams, ChannelRealization, _fmt, _seed_block, draw_channels, snr_db
 
 TRIAL_CSV_HEADER = ("n", "trial", "method", "power", "snr_db", "wall_time_s")
 AGGREGATE_CSV_HEADER = (
@@ -166,49 +155,17 @@ class AggregateRow:
     optimality_rate: float
 
 
-def _int_words(value: int) -> list[int]:
-    # numpy's entropy words for an int >= 0: low word first, one word for 0
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
-
-
-def _trial_seed_block(base_seed: int, n: int, trials) -> np.ndarray:
-    """The seeds of trials of size n: a (T, 2) uint64 block, T = len(trials).
-
-    Row i is SeedSequence((base_seed, n, trials[i])).generate_state(2,
-    np.uint64): the channel seed, then the sampling seed. When trials is a
-    range of at least _BLOCK_ROWS trials in [0, 2^32), and base_seed and n
-    are ints >= 0 that with a trial make at most _POOL_SIZE entropy words,
-    every trial's entropy has the same words but the last, and the rows are
-    mixed column-wise by _seed_state in one pass. Otherwise numpy's
-    SeedSequence builds each row, with numpy's own errors.
-    """
-    if (isinstance(trials, range) and len(trials) >= _BLOCK_ROWS and trials.step > 0
-            and trials.start >= 0 and trials.stop <= _MASK32 + 1
-            and type(base_seed) is int and type(n) is int and min(base_seed, n) >= 0):
-        head = _int_words(base_seed) + _int_words(n)
-        if len(head) < _POOL_SIZE:
-            entropy = np.empty((len(head) + 1, len(trials)), dtype=np.uint32)
-            entropy[:-1] = np.array(head, dtype=np.uint32)[:, None]
-            entropy[-1] = np.arange(trials.start, trials.stop, trials.step)
-            return _seed_state(entropy, 2).T
-    return np.array(
-        [np.random.SeedSequence((base_seed, n, t)).generate_state(2, np.uint64) for t in trials],
-        dtype=np.uint64).reshape(len(trials), 2)
-
-
 def trial_seeds(base_seed: int, n: int, trial: int) -> tuple[int, int]:
     """Derive (channel seed, sampling seed) for one trial.
 
     Mixes (base_seed, n, trial) through np.random.SeedSequence and takes two
     64-bit words: the first seeds the channel draw, the second any randomized
     solver (the random baseline). The one-row call of the block that
-    run_plan derives for each cell of trials.
+    run_plan derives for each cell of trials. base_seed, n and trial are
+    ints of any size or numpy integers; a negative one or 1.5 raises
+    numpy's own error.
     """
-    channel_seed, sample_seed = _trial_seed_block(base_seed, n, (trial,))[0].tolist()
+    channel_seed, sample_seed = _seed_block((base_seed, n), (trial,), 2)[0].tolist()
     return channel_seed, sample_seed
 
 
@@ -234,7 +191,7 @@ def run_plan(plan: ExperimentPlan) -> list[TrialRecord]:
         step = max(1, CELL_ELEMENTS // n)
         for first in range(0, plan.trials, step):
             trials = range(first, min(first + step, plan.trials))
-            chan_seeds, sample_seeds = _trial_seed_block(plan.base_seed, n, trials).T.tolist()
+            chan_seeds, sample_seeds = _seed_block((plan.base_seed, n), trials, 2).T.tolist()
             g, h_r, h_d = draw_channels(n, chan_seeds, params)
             channels = [
                 ChannelRealization(g=g[i], h_r=h_r[i], h_d=h_d[i],

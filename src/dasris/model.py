@@ -180,8 +180,8 @@ def _product(h_r: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> n
     draw_channels(1, range(100, 140), beta_g=2) differed).
     """
     if out is not None and out.ndim == 1 and len(out) > 1:
-        np.conjugate(h_r, out=out)
-        return np.multiply(out, g, out=out)
+        np.conjugate(h_r, out)
+        return np.multiply(out, g, out)
     return np.multiply(np.conj(h_r), g, out)
 
 
@@ -215,7 +215,7 @@ def _composite(g: np.ndarray, h_r: np.ndarray, h_d) -> np.ndarray:
         top = float(np.maximum.reduce(np.abs(floats)))
         if not top < math.inf:  # written so that NaN fails too
             raise ValueError(_OVERFLOW)
-        np.ldexp(floats, -math.frexp(top)[1], out=floats)
+        np.ldexp(floats, -math.frexp(top)[1], floats)
         return phi_bar
     phi_bar = np.empty(g.shape[:-1] + (g.shape[-1] + 1,), dtype=complex)
     _product(h_r, g, phi_bar[..., :-1])
@@ -381,10 +381,11 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 # a group of fewer rows than this is seeded by numpy itself, one row at a
 # time: there numpy's cost per row (about 15-20 us a SeedSequence, 20-25 us
-# a default_rng draw at n = 16) undercuts the fixed cost of the column-wise
-# routine (about 65-85 us a seed block, 70-80 us a block draw of 2 to 5
+# a row's draw at n = 16) undercuts the fixed cost of the column-wise
+# routine (about 65-90 us a seed block, 70-80 us a block draw of 2 to 5
 # rows at n = 16; 2-vCPU VM); one row's seeds 74% and its draw 56% cheaper
-# (median of per-round ratios, A/B, 21 of 21 rounds)
+# (median of per-round ratios, A/B, 21 of 21 rounds); seeds and draw of 6
+# rows at n = 16 took 0.146 against 0.157 ms row by row (best of 5 runs)
 _BLOCK_ROWS = 6
 
 
@@ -495,23 +496,38 @@ def _row_seed_type() -> type:
     return RowSeed
 
 
-def _draw_seeded(normals: np.ndarray, seeds: list[int]) -> None:
-    """Fill normals[t] as np.random.default_rng(seeds[t]) would, for every row t.
+def _seed_block(head: tuple, tails, n_words: int) -> np.ndarray:
+    """SeedSequence((*head, tails[t])).generate_state(n_words, np.uint64) as row t.
 
-    Every seed is an int in [0, 2^64). The seeds' SeedSequence states come
-    from _seed_state, one C-contiguous (4,) uint64 row per seed, and each
-    row seeds its own PCG64 through numpy's public ISeedSequence interface,
-    so PCG64 runs its own 128-bit seeding on exactly the words
-    SeedSequence(seed) would give it.
+    Returns a C-contiguous (T, n_words) uint64 block, T = len(tails); with
+    an empty head, row t is SeedSequence(tails[t])'s. The one rule for the
+    column-wise replica: at least _BLOCK_ROWS tails, every head entry and
+    tail an int or numpy integer >= 0, every tail below 2^64, and the
+    head's words and the widest tail's fit the pool. numpy gives an int one
+    uint32 word per 32 bits, low word first and one word for 0, and hashes
+    a missing last word as 0, so a one-word tail shares its block with
+    two-word ones. Every other block is built by numpy's SeedSequence, row
+    by row, with numpy's own errors.
     """
-    values = np.array(seeds, dtype=np.uint64)
-    # numpy gives a seed below 2^32 one entropy word, but it hashes a missing
-    # pool word as 0, so the words (seed, 0) give the same state
-    words = np.stack((values, values >> np.uint64(32))).astype(np.uint32)
-    row_seed = _row_seed_type()
-    pcg64, generator = np.random.PCG64, np.random.Generator
-    for row, state in zip(normals, _seed_state(words, 4).T.copy()):
-        generator(pcg64(row_seed(state))).standard_normal(out=row)
+    tails = tuple(tails)
+    values = head + tails
+    if len(tails) >= _BLOCK_ROWS and all(
+            kind is int or issubclass(kind, np.integer) for kind in set(map(type, values))
+    ) and min(values) >= 0:
+        words = [value >> shift & _MASK32 for value in map(int, head)
+                 for shift in range(0, value.bit_length() or 1, 32)]
+        top = int(max(tails))
+        width = 1 if top <= _MASK32 else 2
+        if top < 1 << 64 and len(words) + width <= _POOL_SIZE:
+            entropy = np.empty((len(words) + width, len(tails)), dtype=np.uint32)
+            entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+            # a little-endian uint64 read as two uint32s: low word, then high
+            entropy[len(words):] = np.array(tails, "<u8").view("<u4").reshape(-1, 2).T[:width]
+            # C order: PCG64 reads a row's buffer raw
+            return _seed_state(entropy, n_words).T.copy()
+    return np.array(
+        [np.random.SeedSequence((*head, tail) if head else tail).generate_state(n_words, np.uint64)
+         for tail in tails], dtype=np.uint64).reshape(len(tails), n_words)
 
 
 def draw_channels(
@@ -526,11 +542,15 @@ def draw_channels(
     Gaussian with the per-entry variance from params; h_d is exactly 0 when
     params.los is false. The block is checked once: every entry is finite.
 
-    When there are at least _BLOCK_ROWS seeds and every one is an int (or a
-    numpy integer) in [0, 2^64), their SeedSequence words are mixed
-    column-wise and each row is drawn by a PCG64 seeded with its own words.
-    Otherwise every row goes through np.random.default_rng(seed) itself,
-    with numpy's own errors. Raises ValueError unless n is an integer >= 1.
+    A seed is what np.random.SeedSequence takes: an int of any size, a
+    numpy integer or a sequence of ints; a negative seed or 1.5 raises
+    numpy's own error. A SeedSequence, BitGenerator or Generator object is
+    not a seed here. The seeds' SeedSequence words come from one
+    _seed_block call, which mixes a large block of ints column-wise, and
+    each row is drawn by a PCG64 seeded with its own four words through
+    numpy's public ISeedSequence interface: PCG64 runs its own 128-bit
+    seeding on exactly the words default_rng(seed) would give it.
+    Raises ValueError unless n is an integer >= 1.
     """
     try:  # operator.index takes ints and numpy integers, not 4.7 or 4.0
         n = operator.index(n)
@@ -539,13 +559,10 @@ def draw_channels(
     if n < 1:
         raise ValueError("n must be >= 1")
     normals = np.empty((len(seeds), 4 * n + 2 * params.los))
-    if len(seeds) >= _BLOCK_ROWS and all(
-            (type(seed) is int or isinstance(seed, np.integer)) and 0 <= int(seed) < 1 << 64
-            for seed in seeds):
-        _draw_seeded(normals, seeds)
-    else:
-        for row, seed in zip(normals, seeds):
-            np.random.default_rng(seed).standard_normal(out=row)
+    row_seed = _row_seed_type()
+    pcg64, generator = np.random.PCG64, np.random.Generator
+    for row, state in zip(normals, _seed_block((), seeds, 4)):
+        generator(pcg64(row_seed(state))).standard_normal(out=row)
     g = _complex_gaussian(normals[:, :n], normals[:, n:2 * n], params.beta_g)
     h_r = _complex_gaussian(normals[:, 2 * n:3 * n], normals[:, 3 * n:4 * n], params.beta_r)
     if params.los:
@@ -561,14 +578,16 @@ def generate_channel(n: int, seed: int, params: ChannelParams | None = None) -> 
     """Draw an i.i.d. Rayleigh-faded channel realization.
 
     Deterministic for a given (n, seed, params): the one-row case of
-    draw_channels, so entries are drawn from np.random.default_rng(seed) in
-    the fixed order g, h_r, h_d. Each entry is circularly-symmetric complex
+    draw_channels, so entries are drawn bit for bit as from
+    np.random.default_rng(seed), in the fixed order g, h_r, h_d, and seed
+    is any seed draw_channels takes: an int of any size, a numpy integer
+    or a sequence of ints. Each entry is circularly-symmetric complex
     Gaussian with the per-entry variance from params; h_d is exactly 0 when
     params.los is false.
 
     Args:
         n: number of surface elements, an integer >= 1.
-        seed: seed for the generator.
+        seed: seed for the generator; numpy's error for a negative one or 1.5.
         params: channel statistics; defaults to ChannelParams().
 
     Returns:

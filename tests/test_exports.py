@@ -76,11 +76,15 @@ def test_what_the_benchmark_workloads_call_keeps_its_shape():
 
 
 def test_seed_block_routines_stay_private():
-    for module, name in ((dasris.harness, "_trial_seed_block"), (dasris.model, "_seed_state"),
-                         (dasris.model, "_draw_seeded")):
-        assert callable(getattr(module, name))
+    for name in ("_seed_block", "_seed_state"):
+        assert callable(getattr(dasris.model, name))
         assert name not in dasris.__all__
         assert not hasattr(dasris, name)
+    # model owns every SeedSequence decision: harness calls _seed_block alone
+    for name in ("_seed_state", "_POOL_SIZE", "_MASK32", "_BLOCK_ROWS", "_int_words",
+                 "_trial_seed_block"):
+        assert not hasattr(dasris.harness, name)
+    assert not hasattr(dasris.model, "_draw_seeded")
 
 
 def test_the_library_imports_nothing_but_the_standard_library_and_numpy():

@@ -16,7 +16,6 @@ from dasris.harness import (
     PlanError,
     TrialRecord,
     _MAX_N,
-    _trial_seed_block,
     aggregate,
     run_plan,
     trial_seeds,
@@ -24,7 +23,8 @@ from dasris.harness import (
     write_trial_csv,
 )
 from dasris.das import das_solve
-from dasris.model import _BLOCK_ROWS, ChannelParams, _fmt, generate_channel, snr_db
+import dasris.model as model
+from dasris.model import _BLOCK_ROWS, ChannelParams, _fmt, _seed_block, generate_channel, snr_db
 
 
 def small_plan(**overrides):
@@ -117,7 +117,7 @@ def test_run_plan_calls_each_solver_through_the_module_globals(monkeypatch, meth
 
     calls = {}
     names = ("das_solve_block", "exhaustive_search", "greedy_bitflip", "random_best_of_k",
-             "draw_channels", "_trial_seed_block", "trial_seeds")
+             "draw_channels", "_seed_block", "trial_seeds")
     for name in names:
         def counting(*args, _original=getattr(harness, name), _name=name):
             calls[_name] = calls.get(_name, 0) + 1
@@ -129,7 +129,7 @@ def test_run_plan_calls_each_solver_through_the_module_globals(monkeypatch, meth
     trials = sizes * plan.trials
     per_trial = {"exhaustive": "exhaustive_search", "greedy": "greedy_bitflip",
                  "random": "random_best_of_k"}
-    expected = {"draw_channels": sizes, "_trial_seed_block": sizes}
+    expected = {"draw_channels": sizes, "_seed_block": sizes}
     if "das" in methods:
         expected["das_solve_block"] = sizes
     for method in methods:
@@ -207,23 +207,21 @@ def test_trial_seed_block_rows_are_numpy_seed_sequence(base_seed, n, first, coun
     # base seeds of one to three words, sizes of one or two, trials on both
     # sides of 2^32 and blocks on both sides of the crossover
     trials = range(first, first + count)
-    block = _trial_seed_block(base_seed, n, trials)
-    assert block.shape == (count, 2) and block.dtype == np.uint64
+    block = _seed_block((base_seed, n), trials, 2)
+    assert block.shape == (count, 2) and block.dtype == np.uint64 and block.flags.c_contiguous
     assert block.tobytes() == numpy_trial_seeds(base_seed, n, trials).tobytes()
     assert trial_seeds(base_seed, n, first) == tuple(block[0].tolist())
 
 
 @pytest.mark.parametrize("count", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, 3 * _BLOCK_ROWS])
 def test_trial_seed_block_mixes_a_large_block_column_wise(monkeypatch, count):
-    import dasris.harness as harness
-
     calls = []
-    original = harness._seed_state
-    monkeypatch.setattr(harness, "_seed_state",
+    original = model._seed_state
+    monkeypatch.setattr(model, "_seed_state",
                         lambda entropy, n_words: calls.append(entropy.shape) or
                         original(entropy, n_words))
     trials = range(10, 10 + count)
-    block = _trial_seed_block(7, 64, trials)
+    block = _seed_block((7, 64), trials, 2)
     assert block.tobytes() == numpy_trial_seeds(7, 64, trials).tobytes()
     assert calls == ([(3, count)] if count >= _BLOCK_ROWS else [])
 
@@ -232,14 +230,12 @@ def test_trial_seed_block_mixes_a_large_block_column_wise(monkeypatch, count):
 def test_a_trial_entropy_wider_than_the_pool_goes_through_numpy(monkeypatch, base_seed, n):
     # base_seed, n and the trial make five entropy words: SeedSequence mixes
     # the fifth in a loop that the column-wise routine does not run
-    import dasris.harness as harness
-
     def refuse(entropy, n_words):
         raise AssertionError("a wide entropy was mixed column-wise")
 
-    monkeypatch.setattr(harness, "_seed_state", refuse)
+    monkeypatch.setattr(model, "_seed_state", refuse)
     trials = range(3 * _BLOCK_ROWS)
-    block = _trial_seed_block(base_seed, n, trials)
+    block = _seed_block((base_seed, n), trials, 2)
     assert block.tobytes() == numpy_trial_seeds(base_seed, n, trials).tobytes()
 
 
@@ -249,7 +245,7 @@ def test_trial_seeds_keep_numpy_errors():
     with pytest.raises(TypeError):
         trial_seeds(1.5, 4, 0)
     with pytest.raises(ValueError, match="non-negative"):
-        _trial_seed_block(-1, 4, range(2 * _BLOCK_ROWS))
+        _seed_block((-1, 4), range(2 * _BLOCK_ROWS), 2)
 
 
 def test_run_plan_record_grid():

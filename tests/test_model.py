@@ -438,15 +438,15 @@ def test_draw_channels_rows_are_default_rng_byte_for_byte(ones, twos, wide, n, r
 @pytest.mark.parametrize("twos", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 1])
 def test_draw_channels_seeds_a_large_block_column_wise(monkeypatch, ones, twos):
     # blocks on both sides of the crossover: _BLOCK_ROWS or more rows are
-    # drawn through the reused generator, and every row stays exact
+    # mixed column-wise in one _seed_state call, and every row stays exact
     blocks = []
-    original = model._draw_seeded
+    original = model._seed_state
 
-    def recording(normals, seeds):
-        blocks.append(len(seeds))
-        return original(normals, seeds)
+    def recording(entropy, n_words):
+        blocks.append(entropy.shape[1])
+        return original(entropy, n_words)
 
-    monkeypatch.setattr(model, "_draw_seeded", recording)
+    monkeypatch.setattr(model, "_seed_state", recording)
     # the word-count boundary on both sides: 2^32 - 1 has one word, 2^32 two
     seeds = [2**32 + 977 * k for k in range(twos)] + [2**32 - 1 - 31 * k for k in range(ones)]
     seeds[::3] = [np.uint64(s) for s in seeds[::3]]
@@ -460,9 +460,10 @@ SHIM_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
 
 def test_draw_seeded_rows_get_pcg64s_own_seeding(monkeypatch):
     # each row's generator must start exactly where np.random.PCG64(seed)
-    # starts: state, increment and the buffered 32-bit half alike
+    # starts: state, increment and the buffered 32-bit half alike, with the
+    # block's words mixed column-wise
     row_seed = model._row_seed_type()
-    asked, states = [], []
+    asked, states, mixed = [], [], []
     generate_state = row_seed.generate_state
 
     def recording(self, n_words, dtype=np.uint32):
@@ -476,16 +477,20 @@ def test_draw_seeded_rows_get_pcg64s_own_seeding(monkeypatch):
             states.append(self.bit_generator.state)
             return super().standard_normal(*args, **kwargs)
 
+    original = model._seed_state
     monkeypatch.setattr(row_seed, "generate_state", recording)
     monkeypatch.setattr(np.random, "Generator", Generator)
+    monkeypatch.setattr(model, "_seed_state",
+                        lambda entropy, n_words: mixed.append(entropy.shape[1]) or
+                        original(entropy, n_words))
     seeds = list(SHIM_SEEDS) * (_BLOCK_ROWS // len(SHIM_SEEDS) + 1)
     assert len(seeds) >= _BLOCK_ROWS
-    normals = np.empty((len(seeds), 7))
-    model._draw_seeded(normals, seeds)
+    normals = drawn_normals(1, seeds)
+    assert mixed == [len(seeds)]
     assert asked == [(4, np.uint64)] * len(seeds)
     assert states == [np.random.PCG64(seed).state for seed in seeds]
     for row, seed in zip(normals, seeds):
-        assert row.tobytes() == np.random.default_rng(seed).standard_normal(7).tobytes()
+        assert row.tobytes() == np.random.default_rng(seed).standard_normal(6).tobytes()
 
 
 def test_row_seed_refuses_any_other_request():
@@ -522,10 +527,10 @@ def test_draw_channels_leaves_other_seeds_to_numpy(bad):
 def test_one_seed_outside_the_block_range_draws_every_row_through_numpy(monkeypatch, bad):
     # seeds that default_rng takes but the column-wise route does not: the
     # whole block goes through numpy, and every row keeps default_rng's bytes
-    def refuse(normals, seeds):
-        raise AssertionError("a block with an ineligible seed was drawn column-wise")
+    def refuse(entropy, n_words):
+        raise AssertionError("a block with an ineligible seed was mixed column-wise")
 
-    monkeypatch.setattr(model, "_draw_seeded", refuse)
+    monkeypatch.setattr(model, "_seed_state", refuse)
     seeds = list(range(2 * _BLOCK_ROWS))
     seeds.insert(_BLOCK_ROWS, bad)
     assert_rows_are_default_rng(4, seeds)
